@@ -14,16 +14,19 @@
 // far-future scheduling — so kWheelSize tuning has data PR over PR.
 //
 // Emits BENCH_engine.json (override path with NETCACHE_BENCH_ENGINE_JSON) so
-// the event-core perf trajectory is tracked PR over PR. The baseline block
-// holds the numbers measured on the pre-rewrite std::function +
-// std::priority_queue core (same machine, same workloads) for comparison.
+// the event-core perf trajectory is tracked PR over PR: each workload's
+// aggregate rate plus the spread of its per-iteration rates, against two
+// recorded references — the pre-rewrite std::function + std::priority_queue
+// core, and the vector-per-bucket core that preceded the pooled one.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
+#include <vector>
 
 #include "bench/bench_common.hpp"
 #include "src/sim/engine.hpp"
@@ -33,10 +36,32 @@
 namespace netcache::bench {
 namespace {
 
+// One timed run of a workload.
+struct Run {
+  std::uint64_t events = 0;
+  double seconds = 0.0;
+};
+
+// Every run of one workload across the benchmark's iterations.
 struct Measurement {
   std::uint64_t events = 0;
   double seconds = 0.0;
+  std::vector<double> rates;  // events/sec of each benchmark iteration
   double events_per_sec() const { return seconds > 0 ? events / seconds : 0; }
+
+  void add(const Run& r) {
+    events += r.events;
+    seconds += r.seconds;
+    rates.push_back(r.seconds > 0 ? static_cast<double>(r.events) / r.seconds
+                                  : 0.0);
+  }
+  /// q-quantile of the per-iteration rates (nearest rank).
+  double rate_quantile(double q) const {
+    if (rates.empty()) return 0.0;
+    std::vector<double> sorted = rates;
+    std::sort(sorted.begin(), sorted.end());
+    return sorted[static_cast<std::size_t>(q * (sorted.size() - 1) + 0.5)];
+  }
 };
 
 // Timing-wheel occupancy for one run: how many pushes landed in a wheel
@@ -58,6 +83,15 @@ constexpr double kBaselinePureDelayEps = 6.24e6;
 constexpr double kBaselineResourceEps = 14.5e6;
 constexpr double kBaselineFullAppEps = 4.04e6;
 
+// Reference numbers for the core this one replaced: 80-byte events with
+// 40-byte inline callback storage, each of the 4096 wheel buckets its own
+// std::vector. Median of 5 runs of this bench built from that
+// commit, alternated with runs of the pooled core, on a 4-thread Intel Xeon
+// host (--benchmark_min_time=2).
+constexpr double kPrePoolPureDelayEps = 8.41e6;
+constexpr double kPrePoolResourceEps = 17.48e6;
+constexpr double kPrePoolFullAppEps = 5.52e6;
+
 // Watchdog guard for every bench run: budgets far above anything a healthy
 // workload needs, so a regression that deadlocks or livelocks the engine
 // fails fast with a diagnostic instead of hanging CI.
@@ -68,16 +102,12 @@ sim::RunLimits bench_limits() {
   return limits;
 }
 
-// Diagnostics-off overhead measured for this PR (blocked-waiter registry on
-// the suspend/resume path, disabled trace ring, watchdog counters in the run
-// loop) — full_app events/sec versus the same bench built from the previous
-// commit on the same machine. Recorded into BENCH_engine.json.
-constexpr const char* kDiagnosticsNote =
-    "diagnostics-off overhead: interleaved best-of-3 vs the pre-diagnostics "
-    "core on the same machine measured full_app +1.8%, resource_contention "
-    "+3.1%, pure_delay +9.0% -- the blocked-waiter registry costs less than "
-    "run-to-run noise and the batched WaitList::notify_all more than pays "
-    "for it";
+// How the numbers were taken. Recorded into BENCH_engine.json.
+constexpr const char* kMeasurementNote =
+    "events_per_sec is the aggregate over every benchmark iteration; "
+    "min/median/max are per-iteration rates. pre_pool_events_per_sec is the "
+    "median of 5 runs of the vector-per-bucket core with 80-byte "
+    "events, alternated with runs of this core on the same host";
 
 Measurement g_pure_delay;
 Measurement g_resource;
@@ -98,7 +128,7 @@ class WallTimer {
   std::chrono::steady_clock::time_point t0_;
 };
 
-Measurement run_pure_delay() {
+Run run_pure_delay() {
   sim::Engine eng;
   constexpr int kProcs = 2048;
   constexpr int kSteps = 256;
@@ -117,7 +147,7 @@ Measurement run_pure_delay() {
   return {eng.events_executed(), t.seconds()};
 }
 
-Measurement run_resource_contention() {
+Run run_resource_contention() {
   sim::Engine eng;
   constexpr int kProcs = 512;
   constexpr int kSteps = 256;
@@ -134,7 +164,7 @@ Measurement run_resource_contention() {
   return {eng.events_executed(), t.seconds()};
 }
 
-Measurement run_full_app() {
+Run run_full_app() {
   WallTimer t;
   SimOptions opts;
   opts.limits = bench_limits();
@@ -151,9 +181,8 @@ Occupancy run_occupancy(const char* app) {
 
 void BM_PureDelay(benchmark::State& state) {
   for (auto _ : state) {
-    Measurement m = run_pure_delay();
-    g_pure_delay.events += m.events;
-    g_pure_delay.seconds += m.seconds;
+    Run m = run_pure_delay();
+    g_pure_delay.add(m);
     state.SetItemsProcessed(state.items_processed() +
                             static_cast<std::int64_t>(m.events));
   }
@@ -162,9 +191,8 @@ BENCHMARK(BM_PureDelay)->Unit(benchmark::kMillisecond);
 
 void BM_ResourceContention(benchmark::State& state) {
   for (auto _ : state) {
-    Measurement m = run_resource_contention();
-    g_resource.events += m.events;
-    g_resource.seconds += m.seconds;
+    Run m = run_resource_contention();
+    g_resource.add(m);
     state.SetItemsProcessed(state.items_processed() +
                             static_cast<std::int64_t>(m.events));
   }
@@ -173,9 +201,8 @@ BENCHMARK(BM_ResourceContention)->Unit(benchmark::kMillisecond);
 
 void BM_FullApp(benchmark::State& state) {
   for (auto _ : state) {
-    Measurement m = run_full_app();
-    g_full_app.events += m.events;
-    g_full_app.seconds += m.seconds;
+    Run m = run_full_app();
+    g_full_app.add(m);
     state.SetItemsProcessed(state.items_processed() +
                             static_cast<std::int64_t>(m.events));
   }
@@ -203,15 +230,23 @@ void write_json(const char* path) {
     return;
   }
   auto emit = [&](const char* name, const Measurement& m, double baseline_eps,
-                  const char* trailing_comma) {
+                  double pre_pool_eps, const char* trailing_comma) {
+    const double eps = m.events_per_sec();
     std::fprintf(f,
                  "    \"%s\": {\"events\": %llu, \"seconds\": %.4f, "
-                 "\"events_per_sec\": %.4g, \"baseline_events_per_sec\": "
-                 "%.4g, \"speedup_vs_baseline\": %.2f}%s\n",
+                 "\"iterations\": %zu, \"events_per_sec\": %.4g, "
+                 "\"min_events_per_sec\": %.4g, "
+                 "\"median_events_per_sec\": %.4g, "
+                 "\"max_events_per_sec\": %.4g, "
+                 "\"pre_pool_events_per_sec\": %.4g, "
+                 "\"speedup_vs_pre_pool\": %.2f, "
+                 "\"baseline_events_per_sec\": %.4g, "
+                 "\"speedup_vs_baseline\": %.2f}%s\n",
                  name, static_cast<unsigned long long>(m.events), m.seconds,
-                 m.events_per_sec(), baseline_eps,
-                 baseline_eps > 0 ? m.events_per_sec() / baseline_eps : 0.0,
-                 trailing_comma);
+                 m.rates.size(), eps, m.rate_quantile(0.0),
+                 m.rate_quantile(0.5), m.rate_quantile(1.0), pre_pool_eps,
+                 pre_pool_eps > 0 ? eps / pre_pool_eps : 0.0, baseline_eps,
+                 baseline_eps > 0 ? eps / baseline_eps : 0.0, trailing_comma);
   };
   auto emit_occ = [&](const char* name, const Occupancy& o,
                       const char* trailing_comma) {
@@ -230,7 +265,7 @@ void write_json(const char* path) {
   std::fprintf(f,
                "  \"baseline\": \"std::function events + std::priority_queue"
                " + malloc'd coroutine frames (pre allocation-free core)\",\n");
-  std::fprintf(f, "  \"notes\": \"%s\",\n", kDiagnosticsNote);
+  std::fprintf(f, "  \"notes\": \"%s\",\n", kMeasurementNote);
   std::fprintf(f,
                "  \"timing_wheel_notes\": \"occupancy from "
                "EventQueue::stats(): pushes landing in a wheel bucket vs "
@@ -242,9 +277,11 @@ void write_json(const char* path) {
   emit_occ("wf", g_wf_occ, "");
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"workloads\": {\n");
-  emit("pure_delay", g_pure_delay, kBaselinePureDelayEps, ",");
-  emit("resource_contention", g_resource, kBaselineResourceEps, ",");
-  emit("full_app", g_full_app, kBaselineFullAppEps, "");
+  emit("pure_delay", g_pure_delay, kBaselinePureDelayEps,
+       kPrePoolPureDelayEps, ",");
+  emit("resource_contention", g_resource, kBaselineResourceEps,
+       kPrePoolResourceEps, ",");
+  emit("full_app", g_full_app, kBaselineFullAppEps, kPrePoolFullAppEps, "");
   std::fprintf(f, "  }\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", path);
@@ -252,14 +289,19 @@ void write_json(const char* path) {
 
 void print_summary() {
   std::printf("\n== engine event-core throughput (events/sec) ==\n");
-  auto line = [](const char* name, const Measurement& m, double base) {
-    std::printf("%-20s %12.3g ev/s  (baseline %9.3g, speedup %.2fx)\n", name,
-                m.events_per_sec(), base,
-                base > 0 ? m.events_per_sec() / base : 0.0);
+  auto line = [](const char* name, const Measurement& m, double base,
+                 double pre_pool) {
+    const double eps = m.events_per_sec();
+    std::printf("%-20s %12.3g ev/s  (pre-pool %9.3g, %.2fx; baseline %9.3g, "
+                "%.2fx)\n",
+                name, eps, pre_pool, pre_pool > 0 ? eps / pre_pool : 0.0, base,
+                base > 0 ? eps / base : 0.0);
   };
-  line("pure_delay", g_pure_delay, kBaselinePureDelayEps);
-  line("resource_contention", g_resource, kBaselineResourceEps);
-  line("full_app", g_full_app, kBaselineFullAppEps);
+  line("pure_delay", g_pure_delay, kBaselinePureDelayEps,
+       kPrePoolPureDelayEps);
+  line("resource_contention", g_resource, kBaselineResourceEps,
+       kPrePoolResourceEps);
+  line("full_app", g_full_app, kBaselineFullAppEps, kPrePoolFullAppEps);
   std::printf("\n== timing-wheel occupancy (EventQueue::stats()) ==\n");
   auto occ_line = [](const char* name, const Occupancy& o) {
     std::printf("%-20s wheel %12llu  overflow %8llu  (%.3f%% overflow)\n",

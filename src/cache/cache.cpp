@@ -1,5 +1,7 @@
 #include "src/cache/cache.hpp"
 
+#include <bit>
+
 #include "src/common/nc_assert.hpp"
 
 namespace netcache::cache {
@@ -7,14 +9,19 @@ namespace netcache::cache {
 Cache::Cache(const CacheConfig& config)
     : config_(config),
       sets_(config.sets()),
+      block_shift_(std::countr_zero(
+          static_cast<std::uint64_t>(config.block_bytes))),
       lines_(static_cast<std::size_t>(sets_) * config.associativity) {
+  // Config::validate rejects these too, but direct Cache users bypass it.
+  NC_ASSERT(is_pow2(static_cast<std::uint64_t>(config.block_bytes)),
+            "block size must be a power of two");
   NC_ASSERT(sets_ > 0, "cache must have at least one set");
   NC_ASSERT(is_pow2(static_cast<std::uint64_t>(sets_)),
             "set count must be a power of two");
 }
 
 std::size_t Cache::set_index(Addr addr) const {
-  return static_cast<std::size_t>(block_of(addr, config_.block_bytes) &
+  return static_cast<std::size_t>((addr >> block_shift_) &
                                   static_cast<Addr>(sets_ - 1));
 }
 

@@ -92,6 +92,7 @@ class Cache {
 
   CacheConfig config_;
   int sets_;
+  int block_shift_;  // log2(block_bytes): set_index shifts, never divides
   std::vector<Line> lines_;  // sets_ x associativity, row-major
   std::uint64_t evictions_ = 0;
   ResidencyHook residency_hook_ = nullptr;

@@ -28,15 +28,18 @@ class Engine : public FailureContext {
   Cycles now() const { return now_; }
 
   /// Schedules `action` (any callable) to run at now() + delay. The callable
-  /// is stored inline in the event record; prefer schedule_resume when the
-  /// action is just resuming a coroutine. `tag` (make_trace_tag) annotates
-  /// the event in the opt-in trace ring; 0 leaves it untagged. `fp` declares
-  /// the commit footprint (event_queue.hpp): kLocal promises the handler's
-  /// synchronous prefix touches only the tagged node's partition-owned
-  /// state, allowing the parallel-commit PDES path to fire it on the owning
-  /// worker. A kLocal event must carry a valid node tag — untagged routing
-  /// inherits the *currently firing* partition, which is only guaranteed to
-  /// match the handler's own state when pushed from that handler.
+  /// is boxed once on the heap and the 32-byte event record holds the owning
+  /// pointer, so this is the slow path (only tests use it); prefer
+  /// schedule_resume when the action is just resuming a coroutine (the
+  /// record then holds the handle itself, no allocation). `tag`
+  /// (make_trace_tag) annotates the event in the opt-in trace ring; 0 leaves
+  /// it untagged. `fp` declares the commit footprint (event_queue.hpp):
+  /// kLocal promises the handler's synchronous prefix touches only the
+  /// tagged node's partition-owned state, allowing the parallel-commit PDES
+  /// path to fire it on the owning worker. A kLocal event must carry a valid
+  /// node tag — untagged routing inherits the *currently firing* partition,
+  /// which is only guaranteed to match the handler's own state when pushed
+  /// from that handler.
   template <typename F>
   void schedule(Cycles delay, F&& action, std::uint16_t tag = 0,
                 CommitFootprint fp = CommitFootprint::kShared) {

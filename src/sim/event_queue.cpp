@@ -20,7 +20,7 @@ struct Later {
 }  // namespace
 
 EventQueue::EventQueue()
-    : wheel_(kWheelSize), heads_(kWheelSize, 0), occupied_(kWheelSize / 64, 0) {}
+    : buckets_(kWheelSize), occupied_(kWheelSize / 64, 0) {}
 
 void EventQueue::insert(Event&& e) {
   if (size_ == 0) {
@@ -36,9 +36,7 @@ void EventQueue::insert(Event&& e) {
 void EventQueue::place(Event&& e, bool account) {
   NC_ASSERT(e.time >= cursor_, "event below cursor");
   if (e.time - cursor_ < static_cast<Cycles>(wheel_size_)) {
-    std::size_t idx = static_cast<std::size_t>(e.time) & wheel_mask_;
-    wheel_[idx].push_back(std::move(e));
-    occupied_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
+    append(static_cast<std::size_t>(e.time) & wheel_mask_, std::move(e));
     if (account) ++stats_.wheel_pushes;
   } else {
     overflow_.push_back(std::move(e));
@@ -52,6 +50,43 @@ void EventQueue::place(Event&& e, bool account) {
   }
 }
 
+void EventQueue::append(std::size_t idx, Event&& e) {
+  std::uint32_t n;
+  if (free_ != kNil) {
+    n = free_;
+    free_ = nodes_[n].next_;
+    nodes_[n] = std::move(e);
+  } else {
+    NC_ASSERT(nodes_.size() < kNil, "event node pool exhausted");
+    n = static_cast<std::uint32_t>(nodes_.size());
+    nodes_.push_back(std::move(e));
+  }
+  nodes_[n].next_ = kNil;
+  Bucket& b = buckets_[idx];
+  if (b.tail == kNil) {
+    b.head = n;
+    occupied_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
+  } else {
+    nodes_[b.tail].next_ = n;
+  }
+  b.tail = n;
+}
+
+Event EventQueue::take_head(std::size_t idx) {
+  Bucket& b = buckets_[idx];
+  const std::uint32_t n = b.head;
+  Event& node = nodes_[n];
+  b.head = node.next_;
+  if (b.head == kNil) {
+    b.tail = kNil;
+    occupied_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
+  }
+  Event e = std::move(node);
+  node.next_ = free_;
+  free_ = n;
+  return e;
+}
+
 void EventQueue::push_resume_batch(Cycles time,
                                    const std::coroutine_handle<>* hs,
                                    std::size_t n, std::uint16_t tag) {
@@ -62,13 +97,10 @@ void EventQueue::push_resume_batch(Cycles time,
     rebuild(time);
   }
   if (time - cursor_ < static_cast<Cycles>(wheel_size_)) {
-    std::size_t idx = static_cast<std::size_t>(time) & wheel_mask_;
-    auto& bucket = wheel_[idx];
-    bucket.reserve(bucket.size() + n);
+    const std::size_t idx = static_cast<std::size_t>(time) & wheel_mask_;
     for (std::size_t i = 0; i < n; ++i) {
-      bucket.push_back(Event::make_resume(time, next_seq_++, hs[i], tag));
+      append(idx, Event::make_resume(time, next_seq_++, hs[i], tag));
     }
-    occupied_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
     stats_.wheel_pushes += n;
   } else {
     for (std::size_t i = 0; i < n; ++i) {
@@ -83,24 +115,30 @@ void EventQueue::push_resume_batch(Cycles time,
   size_ += n;
 }
 
-void EventQueue::rebuild(Cycles new_cursor) {
-  std::vector<Event> pending;
-  pending.reserve(size_ - overflow_.size());
+void EventQueue::drain_wheel(std::vector<Event>& out) {
   for (std::size_t w = 0; w < occupied_.size(); ++w) {
     std::uint64_t bits = occupied_[w];
     while (bits) {
       std::size_t idx = (w << 6) + static_cast<std::size_t>(
                                        std::countr_zero(bits));
       bits &= bits - 1;
-      auto& bucket = wheel_[idx];
-      for (std::size_t i = heads_[idx]; i < bucket.size(); ++i) {
-        pending.push_back(std::move(bucket[i]));
+      for (std::uint32_t n = buckets_[idx].head; n != kNil;) {
+        Event& node = nodes_[n];
+        n = node.next_;
+        out.push_back(std::move(node));
       }
-      bucket.clear();
-      heads_[idx] = 0;
+      buckets_[idx] = Bucket{};
     }
     occupied_[w] = 0;
   }
+  nodes_.clear();
+  free_ = kNil;
+}
+
+void EventQueue::rebuild(Cycles new_cursor) {
+  std::vector<Event> pending;
+  pending.reserve(size_ - overflow_.size());
+  drain_wheel(pending);
   cursor_ = new_cursor;
   // Re-bucketing relocates events that were already accounted at insertion;
   // only the rebuild itself is counted.
@@ -120,18 +158,7 @@ void EventQueue::maybe_regrow() {
   // hold them: fire order is unchanged by the regrow.
   std::vector<Event> pending;
   pending.reserve(size_ + 1);
-  for (std::size_t w = 0; w < occupied_.size(); ++w) {
-    std::uint64_t bits = occupied_[w];
-    while (bits) {
-      std::size_t idx = (w << 6) + static_cast<std::size_t>(
-                                       std::countr_zero(bits));
-      bits &= bits - 1;
-      auto& bucket = wheel_[idx];
-      for (std::size_t i = heads_[idx]; i < bucket.size(); ++i) {
-        pending.push_back(std::move(bucket[i]));
-      }
-    }
-  }
+  drain_wheel(pending);
   for (auto& e : overflow_) pending.push_back(std::move(e));
   overflow_.clear();
   std::sort(pending.begin(), pending.end(), [](const Event& a, const Event& b) {
@@ -141,9 +168,7 @@ void EventQueue::maybe_regrow() {
 
   wheel_size_ *= 2;
   wheel_mask_ = wheel_size_ - 1;
-  wheel_.clear();
-  wheel_.resize(wheel_size_);
-  heads_.assign(wheel_size_, 0);
+  buckets_.assign(wheel_size_, Bucket{});
   occupied_.assign(wheel_size_ / 64, 0);
   regrown_ = true;
 
@@ -182,7 +207,19 @@ Cycles EventQueue::next_time() const {
 
 Event EventQueue::pop() {
   NC_ASSERT(size_ > 0, "pop on empty queue");
+  // Fast path: the wheel spans [cursor_, cursor_ + wheel_size_), so the
+  // cursor's own slot can only hold events at cursor_. When it is occupied
+  // and nothing in the overflow heap is due at that instant, its head is the
+  // global minimum; the cursor stays put.
+  const std::size_t cur = static_cast<std::size_t>(cursor_) & wheel_mask_;
+  if (buckets_[cur].head != kNil &&
+      (overflow_.empty() || overflow_.front().time > cursor_)) {
+    --size_;
+    return take_head(cur);
+  }
+
   Cycles tw = wheel_next_time();
+  std::size_t idx = static_cast<std::size_t>(tw) & wheel_mask_;
   bool from_wheel;
   if (tw < 0) {
     from_wheel = false;
@@ -192,20 +229,12 @@ Event EventQueue::pop() {
     from_wheel = false;
   } else {
     // Same instant in both structures: the smaller insertion seq fires first.
-    std::size_t idx = static_cast<std::size_t>(tw) & wheel_mask_;
-    from_wheel = wheel_[idx][heads_[idx]].seq < overflow_.front().seq;
+    from_wheel = nodes_[buckets_[idx].head].seq < overflow_.front().seq;
   }
 
   Event e;
   if (from_wheel) {
-    std::size_t idx = static_cast<std::size_t>(tw) & wheel_mask_;
-    auto& bucket = wheel_[idx];
-    e = std::move(bucket[heads_[idx]++]);
-    if (heads_[idx] == bucket.size()) {
-      bucket.clear();
-      heads_[idx] = 0;
-      occupied_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
-    }
+    e = take_head(idx);
   } else {
     std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
     e = std::move(overflow_.back());

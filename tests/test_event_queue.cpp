@@ -3,15 +3,24 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <coroutine>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
+#include "src/sim/task.hpp"
+
 namespace netcache::sim {
 namespace {
 
 constexpr Cycles kWheel = static_cast<Cycles>(EventQueue::kWheelSize);
+
+// Detached probe coroutine: records (t, id) when its resume event fires.
+Task<void> record(std::vector<std::pair<Cycles, int>>* out, Cycles t, int id) {
+  out->emplace_back(t, id);
+  co_return;
+}
 
 TEST(EventQueue, OrdersByTime) {
   EventQueue q;
@@ -162,22 +171,41 @@ TEST(EventQueue, SameCycleFifoSurvivesPushDuringDrain) {
 }
 
 TEST(EventQueue, ManyEventsRandomTimesMatchReferenceOrder) {
-  // Cross-check the wheel against a simple reference: stable sort by time.
+  // Cross-check the wheel against a simple reference: sort by (time, seq).
+  // Every 16th single push is followed by a push_resume_batch run and one
+  // more single push at the same instant: batches link their nodes into the
+  // bucket (or heap) one by one and must interleave with singles exactly as
+  // individual pushes would.
   EventQueue q;
   std::vector<std::pair<Cycles, int>> ref;
   std::uint64_t rng = 0x9e3779b97f4a7c15ull;
   std::vector<std::pair<Cycles, int>> fired;
+  std::vector<std::coroutine_handle<>> batch;
+  int seq = 0;
+  auto push_single = [&](Cycles t) {
+    ref.emplace_back(t, seq);
+    q.push(t, [&fired, t, s = seq] { fired.emplace_back(t, s); });
+    ++seq;
+  };
   for (int i = 0; i < 5000; ++i) {
     rng ^= rng << 13;
     rng ^= rng >> 7;
     rng ^= rng << 17;
     // Mix near-future, bucket-colliding, and far-future times.
     Cycles t = static_cast<Cycles>(rng % (3 * static_cast<std::uint64_t>(kWheel)));
-    ref.emplace_back(t, i);
-    q.push(t, [&fired, t, i] { fired.emplace_back(t, i); });
+    push_single(t);
+    if (i % 16 == 0) {
+      batch.clear();
+      const int n = 1 + static_cast<int>((rng >> 32) % 8);
+      for (int k = 0; k < n; ++k) {
+        ref.emplace_back(t, seq);
+        batch.push_back(record(&fired, t, seq++).release_detached());
+      }
+      q.push_resume_batch(t, batch.data(), batch.size());
+      push_single(t);
+    }
   }
-  std::stable_sort(ref.begin(), ref.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::sort(ref.begin(), ref.end());
   while (!q.empty()) q.pop().fire();
   EXPECT_EQ(fired, ref);
 }
@@ -241,6 +269,31 @@ TEST(EventQueue, InlineCallbackDestroyedWithoutFiring) {
     EXPECT_GE(alive, 3);
   }
   EXPECT_EQ(alive, 0);
+}
+
+TEST(EventQueue, NodePoolBoundedByPeakPending) {
+  // Bucket FIFOs share one node pool: bursts into ever-new buckets reuse the
+  // nodes the previous drain freed, so the pool never outgrows the peak
+  // number of pending events, however many buckets have held a burst.
+  EventQueue q;
+  std::vector<std::coroutine_handle<>> hs(256, std::noop_coroutine());
+  std::size_t peak = 0;
+  Cycles t = 0;
+  for (int round = 0; round < 64; ++round) {
+    // Three 256-handle bursts per round, each in its own bucket; the base
+    // time walks more than a full wheel lap over the rounds.
+    for (Cycles k = 0; k < 3; ++k) {
+      q.push_resume_batch(t + 1 + 37 * k + round % 5, hs.data(), hs.size());
+      peak = std::max(peak, q.size());
+      EXPECT_LE(q.node_capacity(), peak);
+    }
+    while (!q.empty()) {
+      t = q.next_time();
+      q.pop().fire();
+    }
+  }
+  EXPECT_EQ(peak, 3 * hs.size());
+  EXPECT_EQ(q.node_capacity(), peak);
 }
 
 }  // namespace
