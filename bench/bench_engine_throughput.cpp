@@ -7,7 +7,11 @@
 //                           far-future delays to exercise the overflow path
 //   - resource_contention:  FIFO Resource acquire/release handoffs (the
 //                           zero-delay resume path)
-//   - full_app:             sor on NetCache, 16 nodes (the real workload mix)
+//   - full_app:             sor on NetCache, 16 nodes (the real workload mix);
+//                           also records coroutine frames per event from the
+//                           FrameArena counters (leaf accesses run without a
+//                           frame, so this tracks how many events still pay
+//                           for one)
 //
 // Also reports timing-wheel occupancy (wheel vs overflow-heap pushes, from
 // EventQueue::stats()) for gauss and wf — the two workloads with the most
@@ -17,7 +21,7 @@
 // the event-core perf trajectory is tracked PR over PR: each workload's
 // aggregate rate plus the spread of its per-iteration rates, against two
 // recorded references — the pre-rewrite std::function + std::priority_queue
-// core, and the vector-per-bucket core that preceded the pooled one.
+// core, and the core that ran every leaf access as its own coroutine.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -30,6 +34,7 @@
 
 #include "bench/bench_common.hpp"
 #include "src/sim/engine.hpp"
+#include "src/sim/frame_arena.hpp"
 #include "src/sim/resource.hpp"
 #include "src/sim/task.hpp"
 
@@ -40,18 +45,24 @@ namespace {
 struct Run {
   std::uint64_t events = 0;
   double seconds = 0.0;
+  std::uint64_t frames = 0;  // coroutine frames served by the FrameArena
 };
 
 // Every run of one workload across the benchmark's iterations.
 struct Measurement {
   std::uint64_t events = 0;
   double seconds = 0.0;
+  std::uint64_t frames = 0;
   std::vector<double> rates;  // events/sec of each benchmark iteration
   double events_per_sec() const { return seconds > 0 ? events / seconds : 0; }
+  double frames_per_event() const {
+    return events > 0 ? static_cast<double>(frames) / events : 0.0;
+  }
 
   void add(const Run& r) {
     events += r.events;
     seconds += r.seconds;
+    frames += r.frames;
     rates.push_back(r.seconds > 0 ? static_cast<double>(r.events) / r.seconds
                                   : 0.0);
   }
@@ -83,14 +94,15 @@ constexpr double kBaselinePureDelayEps = 6.24e6;
 constexpr double kBaselineResourceEps = 14.5e6;
 constexpr double kBaselineFullAppEps = 4.04e6;
 
-// Reference numbers for the core this one replaced: 80-byte events with
-// 40-byte inline callback storage, each of the 4096 wheel buckets its own
-// std::vector. Median of 5 runs of this bench built from that
-// commit, alternated with runs of the pooled core, on a 4-thread Intel Xeon
-// host (--benchmark_min_time=2).
-constexpr double kPrePoolPureDelayEps = 8.41e6;
-constexpr double kPrePoolResourceEps = 17.48e6;
-constexpr double kPrePoolFullAppEps = 5.52e6;
+// Reference numbers for the core this one replaced: the same 32-byte pooled
+// event queue, but every leaf access (CPU read/write/compute, array rd/wr,
+// Resource::use, TDMA slot) its own coroutine frame. Median of 5 runs of
+// this bench built from that commit, alternated with runs of the frame-less
+// core, on a 4-thread Intel Xeon host (--benchmark_min_time=2).
+constexpr double kPreOpPureDelayEps = 16.78e6;
+constexpr double kPreOpResourceEps = 18.20e6;
+constexpr double kPreOpFullAppEps = 9.68e6;
+constexpr double kPreOpFullAppFramesPerEvent = 1.442;
 
 // Watchdog guard for every bench run: budgets far above anything a healthy
 // workload needs, so a regression that deadlocks or livelocks the engine
@@ -105,9 +117,11 @@ sim::RunLimits bench_limits() {
 // How the numbers were taken. Recorded into BENCH_engine.json.
 constexpr const char* kMeasurementNote =
     "events_per_sec is the aggregate over every benchmark iteration; "
-    "min/median/max are per-iteration rates. pre_pool_events_per_sec is the "
-    "median of 5 runs of the vector-per-bucket core with 80-byte "
-    "events, alternated with runs of this core on the same host";
+    "min/median/max are per-iteration rates. pre_op_events_per_sec (and "
+    "full_app's pre_op_frames_per_event) is the median of 5 runs of the core "
+    "that ran every leaf access as its own coroutine frame, alternated with "
+    "runs of this core on the same host. frames_per_event counts FrameArena "
+    "allocations (fresh + reused) per executed event";
 
 Measurement g_pure_delay;
 Measurement g_resource;
@@ -165,11 +179,15 @@ Run run_resource_contention() {
 }
 
 Run run_full_app() {
+  const sim::FrameArena& arena = sim::FrameArena::local();
+  const std::uint64_t frames0 = arena.fresh_allocations() + arena.reuses();
   WallTimer t;
   SimOptions opts;
   opts.limits = bench_limits();
   core::RunSummary s = simulate("sor", SystemKind::kNetCache, opts);
-  return {s.events, t.seconds()};
+  const double seconds = t.seconds();
+  return {s.events, seconds,
+          arena.fresh_allocations() + arena.reuses() - frames0};
 }
 
 Occupancy run_occupancy(const char* app) {
@@ -229,24 +247,34 @@ void write_json(const char* path) {
     std::fprintf(stderr, "bench_engine_throughput: cannot write %s\n", path);
     return;
   }
+  // `pre_op_fpe` < 0: the workload does not record frames per event.
   auto emit = [&](const char* name, const Measurement& m, double baseline_eps,
-                  double pre_pool_eps, const char* trailing_comma) {
+                  double pre_op_eps, double pre_op_fpe,
+                  const char* trailing_comma) {
     const double eps = m.events_per_sec();
     std::fprintf(f,
                  "    \"%s\": {\"events\": %llu, \"seconds\": %.4f, "
                  "\"iterations\": %zu, \"events_per_sec\": %.4g, "
                  "\"min_events_per_sec\": %.4g, "
                  "\"median_events_per_sec\": %.4g, "
-                 "\"max_events_per_sec\": %.4g, "
-                 "\"pre_pool_events_per_sec\": %.4g, "
-                 "\"speedup_vs_pre_pool\": %.2f, "
-                 "\"baseline_events_per_sec\": %.4g, "
-                 "\"speedup_vs_baseline\": %.2f}%s\n",
+                 "\"max_events_per_sec\": %.4g, ",
                  name, static_cast<unsigned long long>(m.events), m.seconds,
                  m.rates.size(), eps, m.rate_quantile(0.0),
-                 m.rate_quantile(0.5), m.rate_quantile(1.0), pre_pool_eps,
-                 pre_pool_eps > 0 ? eps / pre_pool_eps : 0.0, baseline_eps,
-                 baseline_eps > 0 ? eps / baseline_eps : 0.0, trailing_comma);
+                 m.rate_quantile(0.5), m.rate_quantile(1.0));
+    if (pre_op_fpe >= 0) {
+      std::fprintf(f,
+                   "\"frames_per_event\": %.4f, "
+                   "\"pre_op_frames_per_event\": %.4f, ",
+                   m.frames_per_event(), pre_op_fpe);
+    }
+    std::fprintf(f,
+                 "\"pre_op_events_per_sec\": %.4g, "
+                 "\"speedup_vs_pre_op\": %.2f, "
+                 "\"baseline_events_per_sec\": %.4g, "
+                 "\"speedup_vs_baseline\": %.2f}%s\n",
+                 pre_op_eps, pre_op_eps > 0 ? eps / pre_op_eps : 0.0,
+                 baseline_eps, baseline_eps > 0 ? eps / baseline_eps : 0.0,
+                 trailing_comma);
   };
   auto emit_occ = [&](const char* name, const Occupancy& o,
                       const char* trailing_comma) {
@@ -277,11 +305,12 @@ void write_json(const char* path) {
   emit_occ("wf", g_wf_occ, "");
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"workloads\": {\n");
-  emit("pure_delay", g_pure_delay, kBaselinePureDelayEps,
-       kPrePoolPureDelayEps, ",");
+  emit("pure_delay", g_pure_delay, kBaselinePureDelayEps, kPreOpPureDelayEps,
+       -1, ",");
   emit("resource_contention", g_resource, kBaselineResourceEps,
-       kPrePoolResourceEps, ",");
-  emit("full_app", g_full_app, kBaselineFullAppEps, kPrePoolFullAppEps, "");
+       kPreOpResourceEps, -1, ",");
+  emit("full_app", g_full_app, kBaselineFullAppEps, kPreOpFullAppEps,
+       kPreOpFullAppFramesPerEvent, "");
   std::fprintf(f, "  }\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", path);
@@ -290,18 +319,19 @@ void write_json(const char* path) {
 void print_summary() {
   std::printf("\n== engine event-core throughput (events/sec) ==\n");
   auto line = [](const char* name, const Measurement& m, double base,
-                 double pre_pool) {
+                 double pre_op) {
     const double eps = m.events_per_sec();
-    std::printf("%-20s %12.3g ev/s  (pre-pool %9.3g, %.2fx; baseline %9.3g, "
+    std::printf("%-20s %12.3g ev/s  (pre-op %9.3g, %.2fx; baseline %9.3g, "
                 "%.2fx)\n",
-                name, eps, pre_pool, pre_pool > 0 ? eps / pre_pool : 0.0, base,
+                name, eps, pre_op, pre_op > 0 ? eps / pre_op : 0.0, base,
                 base > 0 ? eps / base : 0.0);
   };
-  line("pure_delay", g_pure_delay, kBaselinePureDelayEps,
-       kPrePoolPureDelayEps);
+  line("pure_delay", g_pure_delay, kBaselinePureDelayEps, kPreOpPureDelayEps);
   line("resource_contention", g_resource, kBaselineResourceEps,
-       kPrePoolResourceEps);
-  line("full_app", g_full_app, kBaselineFullAppEps, kPrePoolFullAppEps);
+       kPreOpResourceEps);
+  line("full_app", g_full_app, kBaselineFullAppEps, kPreOpFullAppEps);
+  std::printf("%-20s %12.3f frames/event  (pre-op %.3f)\n", "full_app",
+              g_full_app.frames_per_event(), kPreOpFullAppFramesPerEvent);
   std::printf("\n== timing-wheel occupancy (EventQueue::stats()) ==\n");
   auto occ_line = [](const char* name, const Occupancy& o) {
     std::printf("%-20s wheel %12llu  overflow %8llu  (%.3f%% overflow)\n",

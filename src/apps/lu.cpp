@@ -158,11 +158,11 @@ class Lu final : public Workload {
   void set_raw(int i, int j, double v) {
     a_.raw(elem(i / block_, j / block_, i % block_, j % block_)) = v;
   }
-  sim::Task<double> rd(core::Cpu& cpu, int bi, int bj, int ii, int jj) {
+  ValueRead<double> rd(core::Cpu& cpu, int bi, int bj, int ii, int jj) {
     return a_.rd(cpu, elem(bi, bj, ii, jj));
   }
-  sim::Task<void> wr(core::Cpu& cpu, int bi, int bj, int ii, int jj,
-                     double v) {
+  ValueWrite<double> wr(core::Cpu& cpu, int bi, int bj, int ii, int jj,
+                        double v) {
     return a_.wr(cpu, elem(bi, bj, ii, jj), v);
   }
 

@@ -4,6 +4,7 @@
 // model through the Cpu API (the execution-driven split, see DESIGN.md).
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -43,6 +44,38 @@ class Workload {
   virtual bool verify() = 0;
 };
 
+/// Awaiter of a timed element read (SharedArray/PrivateArray::rd): the
+/// Cpu's read awaiter, sampling the element when the load completes.
+template <typename T>
+class ValueRead : public core::Cpu::ReadAwaiter {
+ public:
+  ValueRead(core::Cpu& cpu, Addr addr, const T* value) noexcept
+      : ReadAwaiter(cpu, addr), value_(value) {}
+  T await_resume() const { return *value_; }
+
+ private:
+  const T* value_;
+};
+
+/// Awaiter of a timed element write (SharedArray/PrivateArray::wr): stores
+/// the value when awaited, then charges the Cpu's write.
+template <typename T>
+class ValueWrite : public core::Cpu::WriteAwaiter {
+ public:
+  ValueWrite(core::Cpu& cpu, Addr addr, T* slot, T value) noexcept
+      : WriteAwaiter(cpu, addr, static_cast<int>(sizeof(T))),
+        slot_(slot),
+        value_(value) {}
+  void await_suspend(std::coroutine_handle<> caller) {
+    *slot_ = value_;
+    WriteAwaiter::await_suspend(caller);
+  }
+
+ private:
+  T* slot_;
+  T value_;
+};
+
 /// A shared array whose elements are block-interleaved across node memories.
 template <typename T>
 class SharedArray {
@@ -64,15 +97,13 @@ class SharedArray {
   std::vector<T>& raw_data() { return data_; }
 
   /// Timed read: charges the memory hierarchy, returns the value.
-  sim::Task<T> rd(core::Cpu& cpu, std::size_t i) {
-    co_await cpu.read(addr(i));
-    co_return data_[i];
+  ValueRead<T> rd(core::Cpu& cpu, std::size_t i) {
+    return ValueRead<T>(cpu, addr(i), &data_[i]);
   }
 
   /// Timed write through the coalescing write buffer.
-  sim::Task<void> wr(core::Cpu& cpu, std::size_t i, T value) {
-    data_[i] = value;
-    co_await cpu.write(addr(i), static_cast<int>(sizeof(T)));
+  ValueWrite<T> wr(core::Cpu& cpu, std::size_t i, T value) {
+    return ValueWrite<T>(cpu, addr(i), &data_[i], value);
   }
 
  private:
@@ -93,14 +124,12 @@ class PrivateArray {
   Addr addr(std::size_t i) const { return base_ + i * sizeof(T); }
   T& raw(std::size_t i) { return data_[i]; }
 
-  sim::Task<T> rd(core::Cpu& cpu, std::size_t i) {
-    co_await cpu.read(addr(i));
-    co_return data_[i];
+  ValueRead<T> rd(core::Cpu& cpu, std::size_t i) {
+    return ValueRead<T>(cpu, addr(i), &data_[i]);
   }
 
-  sim::Task<void> wr(core::Cpu& cpu, std::size_t i, T value) {
-    data_[i] = value;
-    co_await cpu.write(addr(i), static_cast<int>(sizeof(T)));
+  ValueWrite<T> wr(core::Cpu& cpu, std::size_t i, T value) {
+    return ValueWrite<T>(cpu, addr(i), &data_[i], value);
   }
 
  private:

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <deque>
 
+#include "src/common/nc_assert.hpp"
 #include "src/common/types.hpp"
 #include "src/sim/wait_list.hpp"
 
@@ -22,8 +23,14 @@ struct WriteEntry {
 
 class WriteBuffer {
  public:
+  /// `block_bytes` may span at most 32 words: one bit of
+  /// WriteEntry::word_mask per word (MachineConfig::validate enforces it for
+  /// the L2 block).
   WriteBuffer(int entries, int block_bytes)
-      : capacity_(entries), block_bytes_(block_bytes) {}
+      : capacity_(entries), block_bytes_(block_bytes) {
+    NC_ASSERT(block_bytes > 0 && block_bytes <= 32 * kWordBytes,
+              "write-buffer block wider than the 32-bit word mask");
+  }
 
   int capacity() const { return capacity_; }
   bool empty() const { return entries_.empty(); }

@@ -58,6 +58,10 @@ void MachineConfig::validate() const {
                 "cache block sizes must be powers of two");
   reject_unless(l2.block_bytes % l1.block_bytes == 0, "l2.block_bytes",
                 l2.block_bytes, "L2 block must be a multiple of the L1 block");
+  reject_unless(l2.block_bytes <= 32 * kWordBytes, "l2.block_bytes",
+                l2.block_bytes,
+                "L2 block wider than 32 words (128 bytes) does not fit the "
+                "write buffer's 32-bit dirty-word mask");
   reject_unless(l1.size_bytes % (l1.block_bytes * l1.associativity) == 0,
                 "l1.size_bytes", l1.size_bytes,
                 "L1 geometry does not divide evenly");

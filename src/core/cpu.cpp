@@ -31,21 +31,37 @@ Cpu::Cpu(Machine& machine, Node& node)
                    ? sim::CommitFootprint::kLocal
                    : sim::CommitFootprint::kShared) {}
 
-sim::Task<void> Cpu::read(Addr addr) {
-  NodeStats& st = node_->stats();
-  ++st.reads;
-  const Cycles t0 = engine_->now();
-  const std::uint16_t tag = sim::make_trace_tag(id(), sim::TraceTagKind::kRead);
+void Cpu::ReadAwaiter::await_suspend(std::coroutine_handle<> caller) {
+  caller_ = caller;
+  ++cpu_->node_->stats().reads;
+  t0_ = cpu_->engine_->now();
+  // L1 tag check (1 pcycle; hits complete in the op).
+  cpu_->engine_->schedule_op(
+      cpu_->lat_->l1_tag_check, this,
+      sim::make_trace_tag(cpu_->id(), sim::TraceTagKind::kRead),
+      sim::CommitFootprint::kLocal);
+}
 
-  // L1 tag check (1 pcycle; hits complete here).
-  co_await engine_->delay(lat_->l1_tag_check, tag, sim::CommitFootprint::kLocal);
-  if (node_->l1().probe(addr, engine_->now())) {
-    if (oracle_ != nullptr) oracle_->on_hit(id(), addr, "L1");
+void Cpu::ReadAwaiter::tag_checked(sim::EventOp* op) {
+  auto* self = static_cast<ReadAwaiter*>(op);
+  Cpu& cpu = *self->cpu_;
+  const Addr addr = self->addr_;
+  if (cpu.node_->l1().probe(addr, cpu.engine_->now())) {
+    NodeStats& st = cpu.node_->stats();
+    if (cpu.oracle_ != nullptr) cpu.oracle_->on_hit(cpu.id(), addr, "L1");
     ++st.l1_hits;
-    st.read_cycles += engine_->now() - t0;
-    st.read_latency_hist.record(engine_->now() - t0);
-    co_return;
+    st.read_cycles += cpu.engine_->now() - self->t0_;
+    st.read_latency_hist.record(cpu.engine_->now() - self->t0_);
+    self->caller_.resume();
+    return;
   }
+  self->miss_ = cpu.read_miss(addr, self->t0_);
+  self->miss_.start(self->caller_);
+}
+
+sim::Task<void> Cpu::read_miss(Addr addr, Cycles t0) {
+  NodeStats& st = node_->stats();
+  const std::uint16_t tag = sim::make_trace_tag(id(), sim::TraceTagKind::kRead);
 
   // L2 tag check; a hit costs l2_hit_cycles total.
   co_await engine_->delay(lat_->l2_tag_check, tag, sim::CommitFootprint::kLocal);
@@ -169,27 +185,47 @@ sim::Task<void> Cpu::prefetch(Addr block) {
   node_->mark_prefetch_filled(block);
 }
 
-sim::Task<void> Cpu::write(Addr addr, int bytes) {
+void Cpu::WriteAwaiter::await_suspend(std::coroutine_handle<> caller) {
+  caller_ = caller;
+  ++cpu_->node_->stats().writes;
+  cpu_->engine_->schedule_op(
+      1, this, sim::make_trace_tag(cpu_->id(), sim::TraceTagKind::kWrite),
+      sim::CommitFootprint::kLocal);
+}
+
+void Cpu::WriteAwaiter::insert(sim::EventOp* op) {
+  auto* self = static_cast<WriteAwaiter*>(op);
+  Cpu& cpu = *self->cpu_;
+  const bool priv = cpu.as_->is_private(self->addr_);
+  if (cpu.node_->wb().add(self->addr_, self->bytes_, priv)) {
+    cpu.store_buffered(self->addr_, priv);
+    self->caller_.resume();
+    return;
+  }
+  self->stall_ = cpu.write_stall(self->addr_, self->bytes_, priv);
+  self->stall_.start(self->caller_);
+}
+
+sim::Task<void> Cpu::write_stall(Addr addr, int bytes, bool priv) {
   NodeStats& st = node_->stats();
-  ++st.writes;
-  co_await engine_->delay(1,
-                          sim::make_trace_tag(id(), sim::TraceTagKind::kWrite),
-                          sim::CommitFootprint::kLocal);
-  const bool priv = as_->is_private(addr);
-  while (!node_->wb().add(addr, bytes, priv)) {
+  do {
     const Cycles w0 = engine_->now();
     co_await node_->wb().space_waiters().wait(*engine_, {id(), "cpu"});
     st.wb_full_stall_cycles += engine_->now() - w0;
-  }
+  } while (!node_->wb().add(addr, bytes, priv));
+  store_buffered(addr, priv);
+}
+
+void Cpu::store_buffered(Addr addr, bool priv) {
   if (oracle_ != nullptr && !priv) oracle_->on_store_buffered(id(), addr);
   node_->wb().data_waiters().notify_all(*engine_);
 }
 
-sim::Task<void> Cpu::compute(Cycles cycles) {
-  if (cycles <= 0) co_return;
-  node_->stats().compute_cycles += cycles;
-  co_await engine_->delay(
-      cycles, sim::make_trace_tag(id(), sim::TraceTagKind::kCompute),
+void Cpu::ComputeAwaiter::await_suspend(std::coroutine_handle<> caller) {
+  cpu->node_->stats().compute_cycles += cycles;
+  cpu->engine_->schedule_resume(
+      cycles, caller,
+      sim::make_trace_tag(cpu->id(), sim::TraceTagKind::kCompute),
       sim::CommitFootprint::kLocal);
 }
 

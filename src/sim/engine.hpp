@@ -31,7 +31,10 @@ class Engine : public FailureContext {
   /// is boxed once on the heap and the 32-byte event record holds the owning
   /// pointer, so this is the slow path (only tests use it); prefer
   /// schedule_resume when the action is just resuming a coroutine (the
-  /// record then holds the handle itself, no allocation). `tag`
+  /// record then holds the handle itself, no allocation), and schedule_op
+  /// when the action lives in an awaiter (the record holds a non-owning
+  /// EventOp pointer). Under --intra-jobs ops are boxed into this callback
+  /// path, since partitioned runs carry callables, not ops. `tag`
   /// (make_trace_tag) annotates the event in the opt-in trace ring; 0 leaves
   /// it untagged. `fp` declares the commit footprint (event_queue.hpp):
   /// kLocal promises the handler's synchronous prefix touches only the
@@ -61,6 +64,19 @@ class Engine : public FailureContext {
       return;
     }
     queue_.push_resume(now_ + delay, h, tag);
+  }
+
+  /// Fast path: runs `op->run(op)` at now() + delay with no allocation. The
+  /// record does not own `op`; it must stay in place until it fires (see
+  /// EventOp). Partitioned runs box it into a callback (see schedule()).
+  void schedule_op(Cycles delay, EventOp* op, std::uint16_t tag = 0,
+                   CommitFootprint fp = CommitFootprint::kShared) {
+    NC_ASSERT(delay >= 0, "cannot schedule into the past");
+    if (parts_) [[unlikely]] {
+      parts_->push(now_ + delay, [op] { op->run(op); }, tag, fp);
+      return;
+    }
+    queue_.push_op(now_ + delay, op, tag);
   }
 
   /// Bulk fast path: schedules `n` resumes at now() + delay in one bucket

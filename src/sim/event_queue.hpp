@@ -3,9 +3,13 @@
 // Allocation-free in steady state:
 //  - Events are compact 32-byte records, not std::function. The dominant
 //    event kind — "resume this coroutine" — stores the raw coroutine address.
-//    The rare genuine-callback case stores one owning pointer to a
-//    heap-boxed callable; only tests schedule callables, so the allocation
-//    never sits on a simulation's hot path.
+//    The second — "run this op" — stores a non-owning EventOp pointer: the
+//    leaf awaiters (CPU accesses, resource holds) embed the op in the
+//    suspended caller's frame, so firing it costs no allocation and no
+//    coroutine frame. The rare genuine-callback case stores one owning
+//    pointer to a heap-boxed callable; only tests (and the partitioned
+//    engine, which boxes ops) schedule callables, so the allocation never
+//    sits on a serial simulation's hot path.
 //  - The queue is a hierarchical timing wheel: events within wheel_size()
 //    cycles of the cursor go into a power-of-two ring of FIFO buckets
 //    (O(1) push/pop); far-future events go to a small overflow min-heap and
@@ -39,10 +43,26 @@ namespace netcache::sim {
 /// Serial engines ignore the field entirely.
 enum class CommitFootprint : std::uint8_t { kShared = 0, kLocal = 1 };
 
-/// One scheduled event: either a coroutine to resume (common case, a raw
-/// handle — no allocation, no indirection) or an owned, heap-boxed callable.
-/// Movable, fire-once. 32 bytes: time, seq, tag, footprint and one pointer
-/// (the queue's intrusive link rides in the padding).
+/// A non-owning event action: an op event stores only this pointer, and
+/// firing it calls `run(this)`. Lifetime rule: the op stays in place from
+/// schedule to fire — it is neither moved nor destroyed while its event is
+/// pending, which is why ops are non-copyable and non-movable. The usual
+/// owner is an awaiter living in a suspended coroutine frame (the frame
+/// cannot move, and it stays alive until the op resumes it). A pending op
+/// whose event is destroyed unfired is never touched.
+struct EventOp {
+  explicit EventOp(void (*fn)(EventOp*)) noexcept : run(fn) {}
+  EventOp(const EventOp&) = delete;
+  EventOp& operator=(const EventOp&) = delete;
+
+  void (*run)(EventOp*);
+};
+
+/// One scheduled event: a coroutine to resume (common case, a raw handle —
+/// no allocation, no indirection), a non-owning EventOp to run, or an owned,
+/// heap-boxed callable. Movable, fire-once. 32 bytes: time, seq, tag,
+/// footprint, kind and one pointer (the queue's intrusive link rides in the
+/// padding).
 class Event {
  public:
   Event() = default;
@@ -50,7 +70,7 @@ class Event {
   // Moves carry next_ so the node pool keeps its links when it reallocates.
   Event(Event&& o) noexcept
       : time(o.time), seq(o.seq), tag(o.tag), footprint(o.footprint),
-        boxed_(std::exchange(o.boxed_, false)), next_(o.next_),
+        kind_(std::exchange(o.kind_, Kind::kResume)), next_(o.next_),
         ptr_(std::exchange(o.ptr_, nullptr)) {}
 
   Event& operator=(Event&& o) noexcept {
@@ -60,7 +80,7 @@ class Event {
       seq = o.seq;
       tag = o.tag;
       footprint = o.footprint;
-      boxed_ = std::exchange(o.boxed_, false);
+      kind_ = std::exchange(o.kind_, Kind::kResume);
       next_ = o.next_;
       ptr_ = std::exchange(o.ptr_, nullptr);
     }
@@ -83,6 +103,17 @@ class Event {
     return e;
   }
 
+  static Event make_op(Cycles time, std::uint64_t seq, EventOp* op,
+                       std::uint16_t tag = 0) {
+    Event e;
+    e.time = time;
+    e.seq = seq;
+    e.tag = tag;
+    e.ptr_ = op;
+    e.kind_ = Kind::kOp;
+    return e;
+  }
+
   template <typename F>
   static Event make_callback(Cycles time, std::uint64_t seq, F&& f,
                              std::uint16_t tag = 0,
@@ -94,23 +125,29 @@ class Event {
     e.footprint = fp;
     Callback* cb = new Boxed<std::decay_t<F>>(std::forward<F>(f));
     e.ptr_ = cb;
-    e.boxed_ = true;
+    e.kind_ = Kind::kBoxed;
     return e;
   }
 
   /// Runs the event. Consumes it: afterwards the Event is empty.
   void fire() {
     void* p = std::exchange(ptr_, nullptr);
-    if (boxed_) [[unlikely]] {
-      boxed_ = false;
+    // Plain resumes dominate every workload and are the whole of a pure
+    // delay chain, so they take the first test.
+    if (kind_ == Kind::kResume) [[likely]] {
+      if (p) std::coroutine_handle<>::from_address(p).resume();
+      return;
+    }
+    if (std::exchange(kind_, Kind::kResume) == Kind::kOp) {
+      auto* op = static_cast<EventOp*>(p);
+      op->run(op);
+    } else {
       std::unique_ptr<Callback> cb(static_cast<Callback*>(p));
       cb->run();
-    } else if (p) {
-      std::coroutine_handle<>::from_address(p).resume();
     }
   }
 
-  bool is_resume() const { return !boxed_ && ptr_ != nullptr; }
+  bool is_resume() const { return kind_ == Kind::kResume && ptr_ != nullptr; }
 
   Cycles time = 0;
   std::uint64_t seq = 0;
@@ -141,17 +178,18 @@ class Event {
     Fn fn;
   };
 
+  /// What ptr_ holds. Only kBoxed owns its pointee.
+  enum class Kind : std::uint8_t { kResume, kBoxed, kOp };
+
   void reset() {
-    if (boxed_) {
-      delete static_cast<Callback*>(ptr_);
-      boxed_ = false;
-    }
+    if (kind_ == Kind::kBoxed) delete static_cast<Callback*>(ptr_);
+    kind_ = Kind::kResume;
     ptr_ = nullptr;
   }
 
-  bool boxed_ = false;      // ptr_ owns a Callback (else: coroutine address)
+  Kind kind_ = Kind::kResume;
   std::uint32_t next_ = 0;  // EventQueue node-pool link (bucket or free list)
-  void* ptr_ = nullptr;     // coroutine address, boxed Callback, or null
+  void* ptr_ = nullptr;     // coroutine address, EventOp, owned Callback
 };
 
 static_assert(sizeof(Event) <= 32, "Event must stay a 32-byte record");
@@ -216,6 +254,12 @@ class EventQueue {
   void push_resume(Cycles time, std::coroutine_handle<> h,
                    std::uint16_t tag = 0) {
     insert(Event::make_resume(time, next_seq_++, h, tag));
+  }
+
+  /// Fast path: schedule `op->run(op)`; the event does not own `op`, which
+  /// must stay in place until it fires (see EventOp).
+  void push_op(Cycles time, EventOp* op, std::uint16_t tag = 0) {
+    insert(Event::make_op(time, next_seq_++, op, tag));
   }
 
   /// Bulk fast path: schedules `n` same-time resumes in one call — the

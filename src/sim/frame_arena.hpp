@@ -1,9 +1,11 @@
 // Size-bucketed free-list arena for coroutine frames.
 //
-// Every `co_await cpu.read(addr)` spins up a chain of short-lived Task
-// frames; with plain malloc those millions of frames dominate the engine's
-// time. The arena recycles freed frames by size class, so after warm-up the
-// hot path never touches the global allocator.
+// Leaf accesses (L1-hit reads, unstalled writes, compute, resource holds,
+// TDMA slots) run without a frame, but every read miss, buffer stall,
+// protocol transaction and memory access still spins up a chain of
+// short-lived Task frames; with plain malloc those millions of frames would
+// dominate the engine's time. The arena recycles freed frames by size class,
+// so after warm-up the hot path never touches the global allocator.
 //
 // The arena is thread_local: each engine thread (tests, benches, `ctest -j`
 // processes) gets its own, with zero synchronisation. Blocks are

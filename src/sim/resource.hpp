@@ -7,7 +7,7 @@
 #include "src/common/types.hpp"
 #include "src/sim/diagnostics.hpp"
 #include "src/sim/engine.hpp"
-#include "src/sim/task.hpp"
+#include "src/sim/event_queue.hpp"
 
 namespace netcache::sim {
 
@@ -18,6 +18,10 @@ namespace netcache::sim {
 /// suspended, so a deadlocked run (a leaked release) reports who is parked
 /// on which resource and since when. `kind` names the resource in that
 /// report; `tag` identifies the acquirer.
+///
+/// Waiters queue as EventOps embedded in their awaiters (which live in the
+/// suspended callers' frames), so acquire() and use() share one FIFO and a
+/// hand-over is one op event.
 class Resource {
  public:
   explicit Resource(Engine& engine, const char* kind = "Resource")
@@ -31,11 +35,12 @@ class Resource {
   /// Awaitable acquisition: `co_await res.acquire();` — returns holding the
   /// resource. Pair with release().
   auto acquire(WaiterTag tag = {}) {
-    struct Awaiter {
-      Resource* res;
-      WaiterTag tag;
-      BlockedRegistry::Ticket ticket = 0;
-      bool suspended = false;
+    struct Awaiter : EventOp {
+      Awaiter(Resource* r, WaiterTag t) noexcept
+          : EventOp(&granted), res(r), tag(t) {}
+      static void granted(EventOp* op) {
+        static_cast<Awaiter*>(op)->caller.resume();
+      }
       bool await_ready() noexcept {
         if (!res->busy_) {
           res->busy_ = true;
@@ -44,25 +49,59 @@ class Resource {
         return false;
       }
       void await_suspend(std::coroutine_handle<> h) {
-        suspended = true;
-        res->waiters_.push_back(h);
+        caller = h;
+        res->waiters_.push_back(this);
         ticket = res->engine_->blocked().add(
             {res->kind_, res, tag, res->engine_->now()});
       }
       void await_resume() const noexcept {
         // Uncontended acquires complete in await_ready and never registered.
-        if (suspended) res->engine_->blocked().remove(ticket);
+        if (caller) res->engine_->blocked().remove(ticket);
       }
+      Resource* res;
+      WaiterTag tag;
+      std::coroutine_handle<> caller;
+      BlockedRegistry::Ticket ticket = 0;
     };
-    return Awaiter{this, tag};
+    return Awaiter(this, tag);
   }
 
-  /// Releases the resource; the next FIFO waiter (if any) resumes at the
-  /// current time via the event queue.
+  /// Releases the resource; the next FIFO waiter (if any) is granted it at
+  /// the current time via the event queue.
   void release();
 
-  /// Convenience: acquire, occupy for `service` cycles, release.
-  Task<void> use(Cycles service, WaiterTag tag = {});
+  /// Awaiter returned by use(): acquire, occupy for the service time,
+  /// release — with the same grant, service and release events as an
+  /// acquire/delay/release coroutine, but no frame of its own.
+  class UseAwaiter : EventOp {
+   public:
+    UseAwaiter(Resource& res, Cycles service, WaiterTag tag) noexcept
+        : EventOp(&fire), res_(&res), service_(service), tag_(tag) {}
+    bool await_ready() const noexcept { return false; }
+    bool await_suspend(std::coroutine_handle<> caller);
+    void await_resume() const noexcept {}
+
+   private:
+    /// The grant (queued case) or the end of the service time.
+    static void fire(EventOp* op);
+    /// Holding the resource: books the wait and starts the service time.
+    /// Returns false for a zero service time: the resource is released at
+    /// once and the caller continues without suspending.
+    bool serve();
+
+    Resource* res_;
+    Cycles service_;
+    WaiterTag tag_;
+    Cycles t0_ = 0;
+    std::coroutine_handle<> caller_;
+    BlockedRegistry::Ticket ticket_ = 0;
+    bool serving_ = false;
+  };
+
+  /// Acquire, occupy for `service` cycles, release: `co_await res.use(n);`.
+  UseAwaiter use(Cycles service, WaiterTag tag = {}) {
+    return UseAwaiter(*this, service, tag);
+  }
 
   /// Total cycles spent waiting in this resource's queue (contention metric).
   Cycles wait_cycles() const { return wait_cycles_; }
@@ -71,7 +110,7 @@ class Resource {
   Engine* engine_;
   const char* kind_;
   bool busy_ = false;
-  std::deque<std::coroutine_handle<>> waiters_;
+  std::deque<EventOp*> waiters_;
   Cycles wait_cycles_ = 0;
 };
 

@@ -1,10 +1,14 @@
 // Coroutine task type used for all simulated processes.
 //
 // A `Task<T>` is a lazily-started coroutine: creating one does not run any
-// code; it runs when awaited (symmetric transfer) or when detached onto the
-// simulation engine with Engine::spawn. Awaiting a Task suspends the caller
-// until the callee completes, forming the call chains that model multi-step
-// hardware transactions (e.g. CPU read -> protocol fetch -> channel acquire).
+// code; it runs when awaited (symmetric transfer), when started from an event
+// op with start(), or when detached onto the simulation engine with
+// Engine::spawn. Awaiting a Task suspends the caller until the callee
+// completes, forming the call chains that model multi-step hardware
+// transactions (e.g. read miss -> protocol fetch -> memory bank read).
+// Single-delay leaf operations — L1-hit reads, unstalled writes, compute,
+// resource holds, TDMA slots — are plain awaiters instead (no frame; see
+// EventOp in event_queue.hpp); only their multi-step slow paths become Tasks.
 #pragma once
 
 #include <coroutine>
@@ -114,6 +118,17 @@ class [[nodiscard]] Task {
     };
     NC_ASSERT(handle_, "awaiting an empty Task");
     return Awaiter{handle_};
+  }
+
+  /// Starts the coroutine from outside a coroutine — an event op — as if
+  /// `continuation` had awaited it: the callee runs until its first
+  /// suspension, and its completion resumes `continuation`. The Task keeps
+  /// owning the frame. The continuation may destroy this Task before start()
+  /// returns, so start() touches nothing after the resume.
+  void start(std::coroutine_handle<> continuation) {
+    NC_ASSERT(handle_ && !handle_.done(), "starting an empty or done Task");
+    handle_.promise().continuation = continuation;
+    handle_.resume();
   }
 
   /// Releases ownership of the coroutine frame, marking it self-destroying.

@@ -31,7 +31,7 @@ TdmaChannel::TdmaChannel(Engine& engine, int stations, Cycles slot_cycles)
   NC_ASSERT(stations > 0 && slot_cycles > 0, "bad TDMA geometry");
 }
 
-Task<void> TdmaChannel::transmit(NodeId who) {
+Cycles TdmaChannel::book_slot(NodeId who) {
   NC_ASSERT(who >= 0 && who < stations_, "TDMA station out of range");
   note_handoff(*engine_, last_tx_, who);
   Cycles now = engine_->now();
@@ -42,7 +42,7 @@ Task<void> TdmaChannel::transmit(NodeId who) {
   Cycles start = (in_frame == 0) ? earliest : earliest + (frame_ - in_frame);
   station_free_at_[who] = start + slot_;
   wait_cycles_ += start - now;
-  co_await engine_->delay(start + slot_ - now);
+  return start + slot_ - now;
 }
 
 VarSlotTdma::VarSlotTdma(Engine& engine, int members, Cycles base_slot_cycles)

@@ -1,6 +1,7 @@
 // TDMA medium-access models for the optical broadcast channels.
 #pragma once
 
+#include <coroutine>
 #include <vector>
 
 #include "src/common/types.hpp"
@@ -21,12 +22,29 @@ class TdmaChannel {
 
   /// Completes when station `who`'s single-slot message has been transmitted
   /// (slot wait + slot time). Average wait is frame/2 for random arrivals.
-  Task<void> transmit(NodeId who);
+  /// The slot is booked when the transmission is awaited; the one event at
+  /// the slot's end resumes the caller directly (no frame).
+  auto transmit(NodeId who) {
+    struct Awaiter {
+      TdmaChannel* ch;
+      NodeId who;
+      bool await_ready() const noexcept { return false; }
+      void await_suspend(std::coroutine_handle<> caller) {
+        ch->engine_->schedule_resume(ch->book_slot(who), caller);
+      }
+      void await_resume() const noexcept {}
+    };
+    return Awaiter{this, who};
+  }
 
   Cycles frame_cycles() const { return frame_; }
   Cycles wait_cycles() const { return wait_cycles_; }
 
  private:
+  /// Books station `who`'s next free slot; returns the cycles from now until
+  /// that slot ends.
+  Cycles book_slot(NodeId who);
+
   Engine* engine_;
   int stations_;
   Cycles slot_;

@@ -48,6 +48,18 @@ TEST(Config, ValidateRejectsBadGeometry) {
   expect_rejected(cfg, "l2.block_bytes", "power");
 }
 
+TEST(Config, ValidateRejectsL2BlockWiderThanWordMask) {
+  // The write buffer tracks dirty words in a 32-bit mask: 32 words is the
+  // widest L2 block it can hold.
+  MachineConfig cfg;
+  cfg.l2.block_bytes = 256;
+  cfg.ring.block_bytes = 256;
+  expect_rejected(cfg, "l2.block_bytes", "32 words");
+  cfg.l2.block_bytes = 128;
+  cfg.ring.block_bytes = 128;
+  cfg.validate();
+}
+
 TEST(Config, ValidateRejectsUnevenRingChannels) {
   MachineConfig cfg;
   cfg.nodes = 12;

@@ -22,6 +22,19 @@ Task<void> record(std::vector<std::pair<Cycles, int>>* out, Cycles t, int id) {
   co_return;
 }
 
+// Probe op: records (t, id) when its op event fires.
+struct RecordOp : EventOp {
+  RecordOp(std::vector<std::pair<Cycles, int>>* o, Cycles time, int i)
+      : EventOp(&fired), out(o), t(time), id(i) {}
+  static void fired(EventOp* op) {
+    auto* self = static_cast<RecordOp*>(op);
+    self->out->emplace_back(self->t, self->id);
+  }
+  std::vector<std::pair<Cycles, int>>* out;
+  Cycles t;
+  int id;
+};
+
 TEST(EventQueue, OrdersByTime) {
   EventQueue q;
   std::vector<int> order;
@@ -74,19 +87,28 @@ TEST(EventQueue, InterleavedPushPop) {
 }
 
 TEST(EventQueue, ResumeAndCallbackEventsShareTimeline) {
-  // push_resume events and callback events at the same instant interleave by
-  // insertion order. (Uses an actual coroutine handle via a no-op frame.)
+  // Resume, callback and op events interleave by (time, insertion order),
+  // whatever their kind; only plain resumes report is_resume().
   EventQueue q;
-  std::vector<int> order;
-  q.push(3, [&] { order.push_back(0); });
-  q.push(3, [&] { order.push_back(1); });
-  q.push(1, [&] { order.push_back(2); });
+  std::vector<std::pair<Cycles, int>> order;
+  RecordOp op3(&order, 3, 1), op1(&order, 1, 4), op3b(&order, 3, 5);
+  q.push(3, [&] { order.emplace_back(3, 0); });
+  q.push_op(3, &op3);
+  q.push_resume(3, record(&order, 3, 2).release_detached());
+  q.push(1, [&] { order.emplace_back(1, 3); });
+  q.push_op(1, &op1);
+  q.push_op(3, &op3b);
+  q.push_resume(1, record(&order, 1, 6).release_detached());
+  std::vector<bool> resumes;
   while (!q.empty()) {
     Event e = q.pop();
-    EXPECT_FALSE(e.is_resume());
+    resumes.push_back(e.is_resume());
     e.fire();
   }
-  EXPECT_EQ(order, (std::vector<int>{2, 0, 1}));
+  EXPECT_EQ(order, (std::vector<std::pair<Cycles, int>>{
+                       {1, 3}, {1, 4}, {1, 6}, {3, 0}, {3, 1}, {3, 2}, {3, 5}}));
+  EXPECT_EQ(resumes, (std::vector<bool>{false, false, true, false, false, true,
+                                        false}));
 }
 
 // --- timing-wheel determinism ---
@@ -252,7 +274,8 @@ TEST(EventQueue, NoRegrowForNearFutureWorkloads) {
 
 TEST(EventQueue, InlineCallbackDestroyedWithoutFiring) {
   // Dropping a queue with pending callback events must destroy the inline
-  // callables exactly once (checked via a ref-counting capture).
+  // callables exactly once (checked via a ref-counting capture). Pending op
+  // events are not owned: dropping them never touches the op.
   int alive = 0;
   struct Token {
     int* alive;
@@ -261,14 +284,24 @@ TEST(EventQueue, InlineCallbackDestroyedWithoutFiring) {
     Token(Token&& o) noexcept : alive(o.alive) { ++*alive; }
     ~Token() { --*alive; }
   };
+  struct CanaryOp : EventOp {
+    CanaryOp() : EventOp(&never) {}
+    static void never(EventOp*) { ADD_FAILURE() << "unfired op ran"; }
+  };
+  CanaryOp near_op, far_op;
+  const auto run_before = near_op.run;
   {
     EventQueue q;
     Token tok(&alive);
     q.push(1, [tok] { (void)tok; });
+    q.push_op(1, &near_op);
     q.push(kWheel * 2, [tok] { (void)tok; });  // overflow copy
+    q.push_op(kWheel * 2, &far_op);            // overflow op
     EXPECT_GE(alive, 3);
   }
   EXPECT_EQ(alive, 0);
+  EXPECT_EQ(near_op.run, run_before);
+  EXPECT_EQ(far_op.run, run_before);
 }
 
 TEST(EventQueue, NodePoolBoundedByPeakPending) {

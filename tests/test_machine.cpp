@@ -6,6 +6,9 @@
 
 #include "src/apps/workload.hpp"
 #include "src/core/machine.hpp"
+#include "src/sim/frame_arena.hpp"
+#include "src/sim/resource.hpp"
+#include "src/sim/tdma.hpp"
 
 namespace netcache {
 namespace {
@@ -156,6 +159,66 @@ TEST(Machine, ComputeAccumulatesBusyTime) {
   m.run(s);
   EXPECT_EQ(m.stats().node(0).compute_cycles, 500);
   EXPECT_EQ(m.stats().node(1).compute_cycles, 500);
+}
+
+TEST(Machine, LeafAccessesRunWithoutCoroutineFrames) {
+  // After warm-up, each single-delay leaf await completes on one op event or
+  // one direct resume of its caller: the frame arena serves no frame, fresh
+  // or reused, while it is pending. The slow paths (an L1 miss, a stall on a
+  // full write buffer) still run as coroutines and finish on the same cycles
+  // as when every access was a coroutine of its own.
+  MachineConfig cfg;
+  cfg.nodes = 4;
+  cfg.write_buffer_entries = 2;
+  Machine m(cfg);
+  sim::Resource port(m.engine());
+  sim::TdmaChannel slots(m.engine(), cfg.nodes, 1);
+  Cycles miss_cycles = -1;
+  Cycles stall_done = -1;
+  Script s;
+  s.body = [&](Machine& mach, Cpu& cpu, int tid) -> sim::Task<void> {
+    if (tid != 0) co_return;
+    sim::Engine& eng = mach.engine();
+    const sim::FrameArena& arena = sim::FrameArena::local();
+    auto frames = [&] { return arena.fresh_allocations() + arena.reuses(); };
+    const Addr base = mach.address_space().alloc_shared(9 * 4096);
+    Addr remote = base;
+    while (mach.address_space().home(remote) == 0) remote += 64;
+
+    Cycles t0 = eng.now();
+    co_await cpu.read(remote);  // L1 and L2 miss, remote home
+    miss_cycles = eng.now() - t0;
+
+    std::uint64_t before = frames();
+    co_await cpu.read(remote);
+    EXPECT_EQ(frames(), before) << "L1-hit read";
+    before = frames();
+    co_await cpu.write(remote, 4);
+    EXPECT_EQ(frames(), before) << "write into a free buffer entry";
+    co_await cpu.node().fence();
+    before = frames();
+    co_await cpu.compute(10);
+    EXPECT_EQ(frames(), before) << "compute";
+    before = frames();
+    co_await port.use(5);
+    EXPECT_EQ(frames(), before) << "uncontended Resource::use";
+    before = frames();
+    co_await slots.transmit(0);
+    EXPECT_EQ(frames(), before) << "TDMA transmit";
+
+    // A burst of stores to distinct blocks outruns the 2-entry buffer.
+    t0 = eng.now();
+    for (int i = 1; i <= 8; ++i) {
+      co_await cpu.write(base + static_cast<Addr>(i) * 4096, 4);
+    }
+    stall_done = eng.now() - t0;
+    co_await cpu.node().fence();
+  };
+  m.run(s);
+  EXPECT_EQ(m.stats().node(0).l1_hits, 1u);
+  EXPECT_GT(m.stats().node(0).wb_full_stall_cycles, 0);
+  EXPECT_EQ(miss_cycles, 114);
+  EXPECT_EQ(stall_done, 101);
 }
 
 }  // namespace

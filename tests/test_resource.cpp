@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "src/sim/engine.hpp"
@@ -23,19 +24,32 @@ TEST(Resource, SerializesUsers) {
 }
 
 TEST(Resource, FifoOrderAmongWaiters) {
+  // use() and acquire() waiters share one FIFO.
   Engine eng;
   Resource res(eng);
-  std::vector<int> order;
+  std::vector<std::pair<int, Cycles>> order;
   auto user = [&](int id, Cycles arrive) -> Task<void> {
     co_await eng.delay(arrive);
     co_await res.use(5);
-    order.push_back(id);
+    order.emplace_back(id, eng.now());
+  };
+  auto holder = [&](int id, Cycles arrive) -> Task<void> {
+    co_await eng.delay(arrive);
+    co_await res.acquire();
+    order.emplace_back(id, eng.now());
+    co_await eng.delay(5);
+    res.release();
   };
   eng.spawn(user(1, 0));
-  eng.spawn(user(2, 1));
+  eng.spawn(holder(2, 1));
   eng.spawn(user(3, 2));
+  eng.spawn(holder(4, 3));
+  eng.spawn(user(5, 4));
   eng.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  // Users record when their hold ends, holders when it begins.
+  EXPECT_EQ(order, (std::vector<std::pair<int, Cycles>>{
+                       {1, 5}, {2, 5}, {3, 15}, {4, 15}, {5, 25}}));
+  EXPECT_FALSE(res.busy());
 }
 
 TEST(Resource, FreeResourceAcquiresImmediately) {
@@ -55,13 +69,21 @@ TEST(Resource, FreeResourceAcquiresImmediately) {
 TEST(Resource, TracksWaitCycles) {
   Engine eng;
   Resource res(eng);
-  auto user = [&]() -> Task<void> { co_await res.use(10); };
-  eng.spawn(user());
-  eng.spawn(user());
-  eng.spawn(user());
+  std::vector<Cycles> done;
+  auto user = [&](Cycles service) -> Task<void> {
+    co_await res.use(service);
+    done.push_back(eng.now());
+  };
+  eng.spawn(user(10));
+  eng.spawn(user(10));
+  eng.spawn(user(0));  // zero service: granted, then released at once
+  eng.spawn(user(10));
   eng.run();
-  // Second waits 10, third waits 20.
-  EXPECT_EQ(res.wait_cycles(), 30);
+  // Waits: 0, 10, 20 and 20 — the zero-service user passes the resource on
+  // the instant it is granted it.
+  EXPECT_EQ(res.wait_cycles(), 50);
+  EXPECT_EQ(done, (std::vector<Cycles>{10, 20, 20, 30}));
+  EXPECT_FALSE(res.busy());
 }
 
 TEST(Resource, IdleBetweenBursts) {

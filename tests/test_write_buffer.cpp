@@ -24,6 +24,14 @@ TEST(WriteBuffer, MultiWordWriteSetsMultipleBits) {
   EXPECT_EQ(e.word_mask, (1u << 2) | (1u << 3));
 }
 
+TEST(WriteBuffer, TopWordOfWidestBlockSetsBit31) {
+  WriteBuffer wb(4, 128);  // 32 words: the widest block the mask holds
+  wb.add(0x100 + 124, 4, false);
+  WriteEntry e = wb.pop();
+  EXPECT_EQ(e.block_base, 0x100u);
+  EXPECT_EQ(e.word_mask, 1u << 31);
+}
+
 TEST(WriteBuffer, RejectsNewEntryWhenFull) {
   WriteBuffer wb(2, 64);
   EXPECT_TRUE(wb.add(0, 4, false));
