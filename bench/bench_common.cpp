@@ -38,8 +38,7 @@ std::vector<std::function<void()>>& planners() {
 // CellRef::summary() reads it. Null until bench_main builds it.
 sweep::SweepDriver* g_driver = nullptr;
 
-int g_jobs = 0;        // 0 = resolve via sweep::default_jobs()
-int g_intra_jobs = -1;  // -1 = resolve via sweep::default_intra_jobs()
+int g_jobs = 0;  // 0 = resolve via sweep::default_jobs()
 
 sweep::Cell to_cell(const std::string& app, SystemKind system,
                     const SimOptions& opts) {
@@ -209,10 +208,6 @@ void Table::write_csv_to(const std::string& dir) const {
 
 int bench_jobs() { return g_jobs > 0 ? g_jobs : sweep::default_jobs(); }
 
-int bench_intra_jobs() {
-  return g_intra_jobs >= 0 ? g_intra_jobs : sweep::default_intra_jobs();
-}
-
 int bench_main(int argc, char** argv,
                const std::vector<const Table*>& tables) {
   // Strip the shared sweep flags before google-benchmark sees (and rejects)
@@ -235,7 +230,6 @@ int bench_main(int argc, char** argv,
   }
   argc = out;
   g_jobs = flags.jobs;
-  g_intra_jobs = flags.intra_jobs > 0 ? flags.intra_jobs : -1;
   const sweep::IsolationOptions iso = flags.isolation;
   sweep::apply_cache_flags(flags);
 
@@ -245,7 +239,6 @@ int bench_main(int argc, char** argv,
   // Fan the declared grid out across the pool before the benchmark bodies
   // (which consume the finished summaries) run.
   sweep::SweepDriver driver(bench_jobs());
-  driver.set_intra_jobs(bench_intra_jobs());
   driver.set_isolation(iso);
   g_driver = &driver;
   for (const auto& plan : planners()) plan();
@@ -278,11 +271,8 @@ int bench_main(int argc, char** argv,
         add_engine_totals(results[i].summary);
       }
     }
-    const int intra = sweep::compose_intra_jobs(driver.jobs(),
-                                                driver.intra_jobs());
-    std::printf(
-        "sweep: %zu cells on %d worker(s) x %d intra-thread(s) in %.2f s\n",
-        driver.size(), driver.jobs(), intra, secs);
+    std::printf("sweep: %zu cells on %d worker(s) in %.2f s\n", driver.size(),
+                driver.jobs(), secs);
     const std::string cache_line = sweep::format_cache_stats();
     if (!cache_line.empty()) std::printf("%s", cache_line.c_str());
     if (sweep::stop_requested()) {

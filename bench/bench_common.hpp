@@ -115,10 +115,6 @@ class Table {
 /// tables. If the NETCACHE_BENCH_CSV_DIR environment variable is set, each
 /// table is also written there as <sanitized-title>.csv. `--jobs=N` (or
 /// NETCACHE_BENCH_JOBS) sets the worker count; 1 runs sequentially.
-/// `--intra-jobs=T` (or NETCACHE_INTRA_JOBS) runs every cell's simulation
-/// on T conservative-PDES threads — composed with --jobs so the product
-/// stays within the hardware (see sweep::compose_intra_jobs); results are
-/// bit-identical at any setting.
 /// `--cache=DIR` points the sweep result cache at DIR (overriding the
 /// NETCACHE_SWEEP_CACHE environment variable); `--no-cache` disables it.
 /// When caching is active, a hit/miss/store/skip line follows the sweep
@@ -138,10 +134,6 @@ const std::vector<std::string>& all_apps();
 
 /// Worker count bench_main will use (after --jobs / env parsing).
 int bench_jobs();
-
-/// Requested per-cell PDES threads (after --intra-jobs / env parsing),
-/// before the hardware composition cap.
-int bench_intra_jobs();
 
 // Microbenchmark probes for the latency tables (contention-free means over
 // staggered transactions, as in the paper's Tables 1-3). Thread-safe: each

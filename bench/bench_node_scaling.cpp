@@ -1,8 +1,8 @@
 // Node-count scaling of the coherence hot path (DESIGN.md section 16): the
 // Table 4 grid's update/invalidate delivery used to probe every node's L2 on
 // every shared-write commit, so host cost per simulated write grew linearly
-// with machine size. The sharer map makes delivery O(shards + sharers); this
-// bench sweeps 16/64/256 nodes across every system and records, per point,
+// with machine size. The sharer map makes delivery O(sharers); this bench
+// sweeps 16/64/256 nodes across every system and records, per point,
 // host events/sec with tracking on and off, the probes avoided, and whether
 // the two runs' serialized summaries stayed byte-identical (the contract the
 // map must never break).

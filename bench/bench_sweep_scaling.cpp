@@ -2,20 +2,14 @@
 // 48 independent cells) run end to end at 1 / 4 / 8 / 16 worker threads.
 // Emits BENCH_sweep.json (override with NETCACHE_BENCH_SWEEP_JSON) recording
 // the wall-clock per worker count, the speedup over the sequential run, and
-// whether every parallel run reproduced the sequential results bit for bit
-// (run_time and event count per cell — the determinism contract).
+// whether every parallel run reproduced the sequential results byte for byte
+// (each cell's full serialized RunSummary, wall_seconds zeroed — the
+// determinism contract).
 //
 // NETCACHE_SWEEP_SCALE (default 1.0) scales the workloads so CI-class and
 // laptop-class hosts can both record a tractable number.
 //
-// A second section measures intra-cell conservative-PDES scaling: one cell
-// re-run at --intra-jobs 1/2/4/8, with a byte-identity check of the full
-// serialized RunSummary (wall_seconds zeroed) against the serial run. The
-// identity check runs even on 1-thread hosts; only the timing points are
-// skipped there (same note discipline as the worker section).
-//
-//   ./bench_sweep_scaling [--scale=X] [--jobs=1,4,8,16] [--intra-nodes=N]
-#include <algorithm>
+//   ./bench_sweep_scaling [--scale=X] [--jobs=1,4,8,16]
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -78,32 +72,6 @@ double run_grid(const std::vector<sweep::Cell>& cells, int jobs,
   return secs;
 }
 
-// The determinism contract: simulated results must not depend on the worker
-// count (wall_seconds is host observability and excepted).
-bool same_results(const std::vector<core::RunSummary>& a,
-                  const std::vector<core::RunSummary>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].run_time != b[i].run_time || a[i].events != b[i].events ||
-        a[i].totals.reads != b[i].totals.reads ||
-        a[i].wheel_pushes != b[i].wheel_pushes ||
-        a[i].overflow_pushes != b[i].overflow_pushes) {
-      return false;
-    }
-  }
-  return true;
-}
-
-struct IntraPoint {
-  int threads = 0;
-  double seconds = 0.0;
-  bool identical = true;
-  bool timed = true;  // false: 1-thread host, wall-clock not meaningful
-  /// Parallel-commit phase counters for this run (zero at threads=1).
-  /// Deterministic for a fixed thread count, unlike the wall-clock.
-  core::PdesStats pdes;
-};
-
 /// Full-fidelity identity: the entire serialized summary, wall-clock zeroed
 /// (host observability, not a simulated result).
 std::string canonical_summary(core::RunSummary s) {
@@ -111,24 +79,15 @@ std::string canonical_summary(core::RunSummary s) {
   return core::serialize_summary(s);
 }
 
-double run_intra_cell(const sweep::Cell& cell, int threads,
-                      std::string* canonical, core::PdesStats* pdes) {
-  sweep::Cell c = cell;
-  c.intra_jobs = threads;
-  auto t0 = std::chrono::steady_clock::now();
-  sweep::CellResult r = sweep::run_cell(c, /*cache=*/nullptr);
-  double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  if (!r.ok || !r.summary.verified) {
-    std::fprintf(stderr, "FATAL: intra cell %s (threads=%d) %s\n",
-                 c.label().c_str(), threads,
-                 r.ok ? "failed verification" : r.error.c_str());
-    std::exit(1);
+// The determinism contract: simulated results must not depend on the worker
+// count.
+bool same_results(const std::vector<core::RunSummary>& a,
+                  const std::vector<core::RunSummary>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (canonical_summary(a[i]) != canonical_summary(b[i])) return false;
   }
-  *canonical = canonical_summary(r.summary);
-  *pdes = r.summary.pdes;
-  return secs;
+  return true;
 }
 
 }  // namespace
@@ -142,7 +101,6 @@ int main(int argc, char** argv) {
     scale = std::atof(env);
   }
   std::vector<int> jobs_list = {1, 4, 8, 16};
-  int intra_nodes = 256;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--scale=", 8) == 0) {
       scale = std::atof(argv[i] + 8);
@@ -154,18 +112,14 @@ int main(int argc, char** argv) {
         if (!p) break;
         ++p;
       }
-    } else if (std::strncmp(argv[i], "--intra-nodes=", 14) == 0) {
-      intra_nodes = std::atoi(argv[i] + 14);
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--scale=X] [--jobs=1,4,8,16] "
-                   "[--intra-nodes=N]\n",
+      std::fprintf(stderr, "usage: %s [--scale=X] [--jobs=1,4,8,16]\n",
                    argv[0]);
       return 1;
     }
   }
-  if (scale <= 0 || jobs_list.empty() || intra_nodes < 1) {
-    std::fprintf(stderr, "bad --scale, --jobs, or --intra-nodes\n");
+  if (scale <= 0 || jobs_list.empty()) {
+    std::fprintf(stderr, "bad --scale or --jobs\n");
     return 1;
   }
 
@@ -204,68 +158,8 @@ int main(int argc, char** argv) {
     points.push_back(p);
     std::printf("  jobs=%-3d %8.2f s  speedup %.2fx  %s\n", jobs, secs,
                 sequential > 0 ? sequential / secs : 0.0,
-                p.deterministic ? "bit-identical to sequential"
+                p.deterministic ? "byte-identical to sequential"
                                 : "RESULTS DIVERGED");
-  }
-
-  // --- Intra-cell conservative-PDES scaling: one cell, 1/2/4/8 threads. ---
-  // gauss has the longest TDMA frames of the Table 4 apps, and the ROADMAP's
-  // success metric is a 256-node-class machine (the largest configurable):
-  // big arcs keep most traffic partition-local, which is what the parallel
-  // commit path exists to exploit.
-  sweep::Cell intra_cell;
-  intra_cell.app = "gauss";
-  intra_cell.system = SystemKind::kNetCache;
-  intra_cell.scale = scale;
-  intra_cell.nodes = intra_nodes;
-  intra_cell.tweak = [](MachineConfig& cfg) {
-    // The default 128 cache channels must divide evenly among home nodes;
-    // machines past that get one channel per node (same per-node share).
-    if (cfg.nodes > 128) cfg.ring.channels = cfg.nodes;
-  };
-  std::printf("intra-jobs scaling: one %s cell (%d nodes)\n",
-              intra_cell.label().c_str(), intra_nodes);
-  const bool skipped_multi_thread = hw <= 1;
-  if (skipped_multi_thread) {
-    std::printf("  (1 hardware thread: multi-thread points are identity "
-                "checks only, not timed)\n");
-  }
-  std::string serial_canonical;
-  std::vector<IntraPoint> intra_points;
-  double intra_serial = 0.0;
-  bool intra_identical = true;
-  for (int threads : {1, 2, 4, 8}) {
-    IntraPoint p;
-    p.threads = threads;
-    p.timed = threads == 1 || !skipped_multi_thread;
-    std::string canonical;
-    p.seconds = run_intra_cell(intra_cell, threads, &canonical, &p.pdes);
-    if (threads == 1) {
-      intra_serial = p.seconds;
-      serial_canonical = canonical;
-    } else {
-      p.identical = canonical == serial_canonical;
-      intra_identical &= p.identical;
-    }
-    intra_points.push_back(p);
-    if (p.timed) {
-      std::printf("  intra-jobs=%-3d %8.2f s  speedup %.2fx  %s\n", threads,
-                  p.seconds, intra_serial > 0 ? intra_serial / p.seconds : 0.0,
-                  p.identical ? "byte-identical to serial"
-                              : "RESULTS DIVERGED");
-    } else {
-      std::printf("  intra-jobs=%-3d (not timed)  %s\n", threads,
-                  p.identical ? "byte-identical to serial"
-                              : "RESULTS DIVERGED");
-    }
-    if (p.pdes.threads > 0) {
-      std::printf("    parallel commit: %llu parallel / %llu serial "
-                  "(residual_frac %.4f), %llu batches\n",
-                  static_cast<unsigned long long>(p.pdes.parallel_commits),
-                  static_cast<unsigned long long>(p.pdes.serial_commits),
-                  p.pdes.residual_fraction(),
-                  static_cast<unsigned long long>(p.pdes.parallel_batches));
-    }
   }
 
   const char* path = std::getenv("NETCACHE_BENCH_SWEEP_JSON");
@@ -288,9 +182,9 @@ int main(int argc, char** argv) {
                "thread count: on a 1-core container every worker count "
                "measures the same serial throughput plus scheduler noise; "
                "the >=3x target at --jobs=8 applies to CI-class (8+ core) "
-               "hosts. deterministic=true means the parallel run reproduced "
-               "the sequential per-cell run_time, events, reads, and "
-               "timing-wheel counters exactly.\",\n");
+               "hosts. deterministic=true means every cell's serialized "
+               "RunSummary (wall_seconds zeroed) is byte-identical to the "
+               "sequential run's.\",\n");
   std::fprintf(f, "  \"points\": [\n");
   for (std::size_t i = 0; i < points.size(); ++i) {
     std::fprintf(f,
@@ -301,65 +195,11 @@ int main(int argc, char** argv) {
                  points[i].deterministic ? "true" : "false",
                  i + 1 < points.size() ? "," : "");
   }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"intra_jobs\": {\n");
-  std::fprintf(f, "    \"cell\": \"%s\",\n", intra_cell.label().c_str());
-  std::fprintf(f, "    \"nodes\": %d,\n", intra_nodes);
-  std::fprintf(f, "    \"skipped_multi_thread_timing\": %s,\n",
-               skipped_multi_thread ? "true" : "false");
-  std::fprintf(f,
-               "    \"notes\": \"one conservative-PDES simulation "
-               "(src/sim/partition.hpp) re-run at 1/2/4/8 intra threads. "
-               "identical=true means the full serialized RunSummary "
-               "(wall_seconds zeroed) is byte-identical to the serial run; "
-               "this check runs on every host. timed=false marks points on "
-               "1-thread hosts whose wall-clock is scheduler noise, not "
-               "speedup.\",\n");
-  std::fprintf(f, "    \"points\": [\n");
-  for (std::size_t i = 0; i < intra_points.size(); ++i) {
-    const IntraPoint& p = intra_points[i];
-    std::fprintf(f,
-                 "      {\"threads\": %d, \"seconds\": %.3f, "
-                 "\"speedup\": %.3f, \"identical\": %s, \"timed\": "
-                 "%s}%s\n",
-                 p.threads, p.seconds,
-                 p.timed && p.seconds > 0 ? intra_serial / p.seconds : 0.0,
-                 p.identical ? "true" : "false", p.timed ? "true" : "false",
-                 i + 1 < intra_points.size() ? "," : "");
-  }
-  std::fprintf(f, "    ],\n");
-  // Parallel-commit phase counters (DESIGN.md section 13) per partitioned
-  // point. Everything here except the stage/commit wall times is
-  // deterministic for a fixed thread count, so CI can assert thresholds on
-  // residual_frac without flaking.
-  std::fprintf(f, "    \"pdes\": [\n");
-  std::size_t emitted = 0;
-  const std::size_t partitioned =
-      static_cast<std::size_t>(std::count_if(
-          intra_points.begin(), intra_points.end(),
-          [](const IntraPoint& p) { return p.pdes.threads > 0; }));
-  for (const IntraPoint& p : intra_points) {
-    if (p.pdes.threads == 0) continue;
-    std::fprintf(f,
-                 "      {\"threads\": %d, \"parallel_commits\": %llu, "
-                 "\"serial_commits\": %llu, \"parallel_batches\": %llu, "
-                 "\"escaped_continuations\": %llu, "
-                 "\"residual_frac\": %.4f, \"stage_seconds\": %.3f, "
-                 "\"commit_seconds\": %.3f}%s\n",
-                 p.pdes.threads,
-                 static_cast<unsigned long long>(p.pdes.parallel_commits),
-                 static_cast<unsigned long long>(p.pdes.serial_commits),
-                 static_cast<unsigned long long>(p.pdes.parallel_batches),
-                 static_cast<unsigned long long>(p.pdes.escaped_continuations),
-                 p.pdes.residual_fraction(), p.pdes.stage_seconds,
-                 p.pdes.commit_seconds,
-                 ++emitted < partitioned ? "," : "");
-  }
-  std::fprintf(f, "    ]\n  }\n");
+  std::fprintf(f, "  ]\n");
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote %s\n", path);
-  bool all_deterministic = intra_identical;
+  bool all_deterministic = true;
   for (const auto& p : points) all_deterministic &= p.deterministic;
   return all_deterministic ? 0 : 1;
 }

@@ -55,10 +55,9 @@ struct Options {
   bool fault_seed_set = false;
   std::uint64_t fault_seed = 0;
   bool fault_recovery = true;
-  /// The shared sweep surface (--jobs, --intra-jobs, --cache, --no-cache,
-  /// --isolate, --cell-timeout, --cell-retries, --forensics) — parsed and
-  /// validated by src/sweep/flags.cpp, identically to bench_main and
-  /// netcache_sweepd.
+  /// The shared sweep surface (--jobs, --cache, --no-cache, --isolate,
+  /// --cell-timeout, --cell-retries, --forensics) — parsed and validated by
+  /// src/sweep/flags.cpp, identically to bench_main and netcache_sweepd.
   sweep::SweepFlags sweep;
 };
 
@@ -254,7 +253,6 @@ void apply_knobs(const Options& opt, MachineConfig* config,
   config->sequential_prefetch = opt.prefetch;
   config->reads_start_on_star = !opt.ring_only_reads;
   config->verify = config->verify || opt.verify;
-  if (opt.sweep.intra_jobs > 0) config->intra_jobs = opt.sweep.intra_jobs;
   config->faults.spec = app_faulted(opt, app) ? opt.faults : "";
   if (opt.fault_seed_set) config->faults.seed = opt.fault_seed;
   config->faults.recovery = opt.fault_recovery;

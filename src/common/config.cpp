@@ -70,8 +70,6 @@ void MachineConfig::validate() const {
                 "L2 geometry does not divide evenly");
   reject_unless(write_buffer_entries > 0, "write_buffer_entries",
                 write_buffer_entries, "write buffer cannot be empty");
-  reject_unless(intra_jobs >= 1 && intra_jobs <= 1024, "intra_jobs",
-                intra_jobs, "intra-simulation threads must be in [1, 1024]");
   reject_unless(gbit_per_s > 0.0, "gbit_per_s", gbit_per_s,
                 "transmission rate must be positive");
   reject_unless(ring.block_bytes >= l2.block_bytes &&

@@ -122,21 +122,11 @@ struct MachineConfig {
 
   std::uint64_t seed = 0x9E3779B97F4A7C15ull;
 
-  /// Conservative-PDES threads inside one simulation (--intra-jobs): nodes
-  /// are split into this many partitions, each with its own timing wheel,
-  /// synchronized by LBTS windows (src/sim/partition.hpp). 1 = the serial
-  /// engine. Results are bit-identical at any value (enforced by tests), so
-  /// this is an execution knob, not a machine parameter — the result cache
-  /// deliberately excludes it from its key. Also settable via the
-  /// NETCACHE_INTRA_JOBS environment variable (read at Machine construction
-  /// when this is left at 1). Clamped to the node count at run time.
-  int intra_jobs = 1;
-
   /// Sharer-tracking directory (src/core/sharer_map.hpp, DESIGN.md section
   /// 16): mirrors L2 residency so snoop delivery costs O(sharers) instead
   /// of probing every node. Results are bit-identical either way (enforced
-  /// by tests), so like intra_jobs this is an execution knob, not a machine
-  /// parameter — the result cache deliberately excludes it from its key.
+  /// by tests), so this is an execution knob, not a machine parameter — the
+  /// result cache deliberately excludes it from its key.
   /// NETCACHE_SHARER_TRACKING=0 in the environment is the operational kill
   /// switch (read at Machine construction when this is left at true).
   bool sharer_tracking = true;

@@ -74,10 +74,9 @@ struct OracleStats {
 /// section 16). Per delivery, probes + probes_avoided == nodes - 1 on
 /// either path: the full scan probes every other node's L2, the sharer-map
 /// fast path probes only the recorded sharers and books the rest as
-/// avoided. These describe host work, not simulated behaviour — like
-/// PdesStats they are excluded from summary serialization, because they
-/// differ between the tracked and untracked paths (and peak_blocks varies
-/// with the --intra-jobs shard count) while results stay byte-identical.
+/// avoided. These describe host work, not simulated behaviour, so they are
+/// excluded from summary serialization: they differ between the tracked
+/// and untracked paths while results stay byte-identical.
 struct SnoopStats {
   std::uint64_t deliveries = 0;      // update/invalidate broadcast commits
   std::uint64_t probes = 0;          // per-node L2 snoops actually performed

@@ -26,10 +26,7 @@ Cpu::Cpu(Machine& machine, Node& node)
       config_(&machine.config()),
       lat_(&machine.latencies()),
       as_(&machine.address_space()),
-      oracle_(machine.oracle()),
-      fill_fp_(machine.interconnect().commit_profile().fill_tail_local
-                   ? sim::CommitFootprint::kLocal
-                   : sim::CommitFootprint::kShared) {}
+      oracle_(machine.oracle()) {}
 
 void Cpu::ReadAwaiter::await_suspend(std::coroutine_handle<> caller) {
   caller_ = caller;
@@ -38,8 +35,7 @@ void Cpu::ReadAwaiter::await_suspend(std::coroutine_handle<> caller) {
   // L1 tag check (1 pcycle; hits complete in the op).
   cpu_->engine_->schedule_op(
       cpu_->lat_->l1_tag_check, this,
-      sim::make_trace_tag(cpu_->id(), sim::TraceTagKind::kRead),
-      sim::CommitFootprint::kLocal);
+      sim::make_trace_tag(cpu_->id(), sim::TraceTagKind::kRead));
 }
 
 void Cpu::ReadAwaiter::tag_checked(sim::EventOp* op) {
@@ -64,12 +60,11 @@ sim::Task<void> Cpu::read_miss(Addr addr, Cycles t0) {
   const std::uint16_t tag = sim::make_trace_tag(id(), sim::TraceTagKind::kRead);
 
   // L2 tag check; a hit costs l2_hit_cycles total.
-  co_await engine_->delay(lat_->l2_tag_check, tag, sim::CommitFootprint::kLocal);
+  co_await engine_->delay(lat_->l2_tag_check, tag);
   if (node_->l2().probe(addr, engine_->now())) {
     if (oracle_ != nullptr) oracle_->on_hit(id(), addr, "L2");
-    co_await engine_->delay(config_->l2_hit_cycles - lat_->l1_tag_check -
-                                lat_->l2_tag_check,
-                            tag, sim::CommitFootprint::kLocal);
+    co_await engine_->delay(
+        config_->l2_hit_cycles - lat_->l1_tag_check - lat_->l2_tag_check, tag);
     ++st.l2_hits;
     if (config_->sequential_prefetch &&
         node_->take_prefetched(block_base(addr, config_->l2.block_bytes))) {
@@ -100,9 +95,9 @@ sim::Task<void> Cpu::read_miss(Addr addr, Cycles t0) {
       if (oracle_ != nullptr) oracle_->on_hit(id(), addr, "L2");
       ++st.prefetches_useful;
       ++st.l2_hits;
-      co_await engine_->delay(config_->l2_hit_cycles - lat_->l1_tag_check -
-                                  lat_->l2_tag_check,
-                              tag, sim::CommitFootprint::kLocal);
+      co_await engine_->delay(
+          config_->l2_hit_cycles - lat_->l1_tag_check - lat_->l2_tag_check,
+          tag);
       // Same in-flight race as the plain L2 hit above.
       if (node_->l2().contains(addr)) {
         node_->l1().insert(addr, cache::LineState::kValid, engine_->now());
@@ -116,12 +111,8 @@ sim::Task<void> Cpu::read_miss(Addr addr, Cycles t0) {
   FetchResult fr{};
   if (priv) {
     ++st.local_mem_reads;
-    co_await node_->mem().read_block(tag, fill_fp_);
+    co_await node_->mem().read_block(tag);
   } else {
-    // Shared fetch: the stack's synchronous prefix touches interconnect-wide
-    // state (channels, ring, TDMA books), so a parallel-commit worker hands
-    // the continuation to the coordinator here. No-op in serial mode.
-    co_await engine_->escape();
     fr = co_await machine_->interconnect().fetch_block(
         id(), block_base(addr, config_->l2.block_bytes));
     if (oracle_ != nullptr) {
@@ -156,7 +147,7 @@ sim::Task<void> Cpu::read_miss(Addr addr, Cycles t0) {
                 static_cast<Addr>(config_->l2.block_bytes);
     if (!node_->l2().contains(next) && !node_->prefetch_in_flight(next)) {
       node_->mark_prefetch_started(next);
-      engine_->spawn(prefetch(next), 0, tag, fill_fp_);
+      engine_->spawn(prefetch(next), 0, tag);
     }
   }
 }
@@ -167,9 +158,8 @@ sim::Task<void> Cpu::prefetch(Addr block) {
   core::FetchResult fr;
   const std::uint16_t tag = sim::make_trace_tag(id(), sim::TraceTagKind::kRead);
   if (as_->home(block) == id()) {
-    co_await node_->mem().read_block(tag, fill_fp_);
+    co_await node_->mem().read_block(tag);
   } else {
-    co_await engine_->escape();  // shared fetch (see read())
     fr = co_await machine_->interconnect().fetch_block(id(), block);
   }
   if (oracle_ != nullptr) oracle_->on_fill(id(), block, to_oracle(fr.source));
@@ -189,8 +179,7 @@ void Cpu::WriteAwaiter::await_suspend(std::coroutine_handle<> caller) {
   caller_ = caller;
   ++cpu_->node_->stats().writes;
   cpu_->engine_->schedule_op(
-      1, this, sim::make_trace_tag(cpu_->id(), sim::TraceTagKind::kWrite),
-      sim::CommitFootprint::kLocal);
+      1, this, sim::make_trace_tag(cpu_->id(), sim::TraceTagKind::kWrite));
 }
 
 void Cpu::WriteAwaiter::insert(sim::EventOp* op) {
@@ -225,8 +214,7 @@ void Cpu::ComputeAwaiter::await_suspend(std::coroutine_handle<> caller) {
   cpu->node_->stats().compute_cycles += cycles;
   cpu->engine_->schedule_resume(
       cycles, caller,
-      sim::make_trace_tag(cpu->id(), sim::TraceTagKind::kCompute),
-      sim::CommitFootprint::kLocal);
+      sim::make_trace_tag(cpu->id(), sim::TraceTagKind::kCompute));
 }
 
 }  // namespace netcache::core

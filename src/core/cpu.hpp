@@ -121,10 +121,6 @@ class Cpu {
   const LatencyParams* lat_;
   AddressSpace* as_;
   verify::CoherenceOracle* oracle_;  // null unless the run is verified
-  /// Footprint for fill-tail wakeups (local fills, L2 insert, prefetch),
-  /// resolved once from the stack's CommitProfile: kLocal unless the stack's
-  /// eviction hook re-enters shared state (see Interconnect::commit_profile).
-  sim::CommitFootprint fill_fp_ = sim::CommitFootprint::kShared;
 };
 
 }  // namespace netcache::core

@@ -23,23 +23,6 @@ struct FetchResult {
   FillSource source = FillSource::kMemory;
 };
 
-/// Declared commit footprint per transaction kind (parallel-commit PDES,
-/// DESIGN.md section 13): which of the protocol-agnostic node-local
-/// transaction tails may fire on the owning partition worker under this
-/// stack. A `true` field promises the corresponding handler's synchronous
-/// continuation touches only the node's own partition-local state (caches,
-/// write buffer, home bank); stacks whose fill or drain tails re-enter
-/// shared structures (e.g. a directory) override the flag to false and those
-/// events commit serialized.
-struct CommitProfile {
-  /// The requester-side L2/L1 fill tail after a fetch completes (and the
-  /// local-home read path of a CPU read/prefetch) stays node-local.
-  bool fill_tail_local = true;
-  /// The private-write drain path (write buffer -> local memory update)
-  /// stays node-local.
-  bool private_drain_local = true;
-};
-
 class Interconnect {
  public:
   virtual ~Interconnect() = default;
@@ -67,18 +50,6 @@ class Interconnect {
     (void)block_base;
     (void)state;
   }
-
-  /// Commit-footprint declaration for this stack's node-local transaction
-  /// tails (see CommitProfile). The default claims full node locality;
-  /// stacks with shared fill-tail side effects override it.
-  virtual CommitProfile commit_profile() const { return CommitProfile{}; }
-
-  /// Conservative PDES lookahead: a lower bound, in cycles, on the latency
-  /// between any event on one node and its earliest observable effect on
-  /// another node (the cheapest cross-node message this stack can form).
-  /// Used to derive the partitioned engine's LBTS windows; must be positive
-  /// (validated by sim::validated_lookahead at Machine::run).
-  virtual Cycles lookahead() const = 0;
 
   virtual const char* name() const = 0;
 };

@@ -1,6 +1,5 @@
 #include "src/core/machine.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 
@@ -51,18 +50,6 @@ Machine::Machine(const MachineConfig& config)
     if (env != nullptr && env[0] != '\0' &&
         !(env[0] == '0' && env[1] == '\0')) {
       config_.verify = true;
-    }
-  }
-  if (config_.intra_jobs <= 1) {
-    // Same environment opt-in pattern for partitioned execution, so CI can
-    // run an entire test suite under --intra-jobs without plumbing a flag
-    // through every driver. Results are bit-identical either way.
-    if (const char* env = std::getenv("NETCACHE_INTRA_JOBS")) {
-      char* end = nullptr;
-      long n = std::strtol(env, &end, 10);
-      if (end != env && *end == '\0' && n >= 1 && n <= 1024) {
-        config_.intra_jobs = static_cast<int>(n);
-      }
     }
   }
   if (config_.sharer_tracking) {
@@ -117,9 +104,6 @@ sim::Task<void> Machine::worker(apps::Workload& workload, NodeId id) {
   co_await workload.run(cpu(id), static_cast<int>(id));
   co_await node(id).fence();
   stats_.node(id).finish_time = engine_.now();
-  // The completion tally and shutdown broadcast below are machine-global;
-  // leave the parallel-commit worker if the fence tail fired on one.
-  co_await engine_.escape();
   if (--workers_remaining_ == 0) {
     for (auto& n : nodes_) n->request_shutdown();
   }
@@ -138,53 +122,14 @@ RunSummary Machine::run(apps::Workload& workload,
                       "RunLimits::fail_on_blocked to diagnose parked "
                       "transactions");
   }
-  const int intra = std::min(config_.intra_jobs, config_.nodes);
-  if (intra > 1) {
-    // Conservative PDES (DESIGN.md section 13): partition the nodes — and
-    // with them their caches, NIs, and home memory modules, which share the
-    // node's trace tag — across intra threads. Enabled before anything is
-    // scheduled so every event takes the partitioned path.
-    sim::PartitionPlan plan;
-    plan.threads = intra;
-    plan.nodes = config_.nodes;
-    plan.lookahead = sim::validated_lookahead(interconnect_->lookahead(),
-                                              interconnect_->name());
-    // Parallel commit of same-timestamp node-local batches. Gated off when
-    // the oracle or fault plan is live: their hooks mutate global tables
-    // from inside handler bodies, so those runs keep the fully serialized
-    // commit loop (results are bit-identical either way; only wall time
-    // differs). NETCACHE_PARALLEL_COMMIT=0 is the operational kill-switch.
-    plan.parallel_commit = oracle_ == nullptr && faults_ == nullptr;
-    if (const char* env = std::getenv("NETCACHE_PARALLEL_COMMIT")) {
-      if (env[0] == '0' && env[1] == '\0') plan.parallel_commit = false;
-    }
-    // Worker-dispatch threshold (wall-time heuristic only — batch selection,
-    // counters, and results never depend on it). CI's TSan job lowers it to
-    // 1 so even tiny test batches cross threads; setting it explicitly also
-    // overrides the single-hardware-thread fallback, so sanitizer runs on
-    // small containers still drive the real cross-thread path.
-    if (const char* env = std::getenv("NETCACHE_PARALLEL_DISPATCH_MIN")) {
-      char* end = nullptr;
-      long n = std::strtol(env, &end, 10);
-      if (end != env && *end == '\0' && n >= 1 && n <= 1000000) {
-        plan.dispatch_min_batch = static_cast<std::size_t>(n);
-        plan.force_worker_dispatch = true;
-      }
-    }
-    engine_.enable_partitions(plan);
-  }
   if (config_.sharer_tracking) {
-    // The shard count must match the partition layout (one shard per
-    // intra-jobs arc, DESIGN.md section 16), so the map is built here, once
-    // the effective thread count is known — before any L2 can change. The
-    // hash hint sizes each shard for its widest arc's worth of L2 lines.
-    const int shards = std::max(intra, 1);
+    // Built here, before any L2 can change, with a hash hint of every
+    // node's L2 line count.
     const std::size_t lines_per_node = static_cast<std::size_t>(
         config_.l2.size_bytes / config_.l2.block_bytes);
-    const std::size_t widest_arc = static_cast<std::size_t>(
-        (config_.nodes + shards - 1) / shards);
-    sharer_map_ = std::make_unique<SharerMap>(config_.nodes, shards,
-                                              lines_per_node * widest_arc);
+    sharer_map_ = std::make_unique<SharerMap>(
+        config_.nodes,
+        lines_per_node * static_cast<std::size_t>(config_.nodes));
     sharer_hooks_.reserve(static_cast<std::size_t>(config_.nodes));
     for (NodeId n = 0; n < config_.nodes; ++n) {
       sharer_hooks_.push_back(SharerHook{sharer_map_.get(), &as_, n});
@@ -228,23 +173,6 @@ RunSummary Machine::run(apps::Workload& workload,
   s.overflow_pushes = engine_.queue_stats().overflow_pushes;
   s.wheel_regrows = engine_.queue_stats().wheel_regrows;
   s.wall_seconds = wall_seconds;
-  if (const sim::PartitionSet* ps = engine_.partitions()) {
-    s.pdes.threads = ps->threads();
-    s.pdes.rounds = ps->rounds();
-    s.pdes.cross_partition_events = ps->cross_partition_events();
-    const sim::PdesCounters& pc = ps->pdes();
-    s.pdes.parallel_commits = pc.parallel_commits;
-    s.pdes.serial_commits = pc.serial_commits;
-    s.pdes.parallel_batches = pc.parallel_batches;
-    s.pdes.dispatched_batches = pc.dispatched_batches;
-    s.pdes.escaped_continuations = pc.escaped_continuations;
-    s.pdes.residual_events = pc.residual_events;
-    s.pdes.lease_handoffs = pc.lease_handoffs;
-    s.pdes.foreign_bank_accesses = pc.foreign_bank_accesses;
-    s.pdes.cross_arc_ring_touches = pc.cross_arc_ring_touches;
-    s.pdes.stage_seconds = pc.stage_seconds;
-    s.pdes.commit_seconds = pc.commit_seconds;
-  }
   if (sharer_map_ != nullptr) snoop_.peak_blocks = sharer_map_->peak_blocks();
   s.snoop = snoop_;
   s.verify_enabled = config_.verify;

@@ -79,7 +79,7 @@ class Machine {
   sim::Task<void> worker(apps::Workload& workload, NodeId id);
 
   /// Per-node context for the L2 residency hook: filters private blocks and
-  /// routes shared-residency changes into the node's sharer-map shard.
+  /// records shared-residency changes in the sharer map.
   struct SharerHook {
     SharerMap* map;
     const AddressSpace* as;
@@ -99,7 +99,7 @@ class Machine {
   std::unique_ptr<verify::CoherenceOracle> oracle_;
   std::unique_ptr<faults::FaultPlan> faults_;
   std::unique_ptr<Interconnect> interconnect_;
-  // Wired in run() once the effective intra-jobs shard count is known.
+  // Wired in run(), before workload setup.
   std::unique_ptr<SharerMap> sharer_map_;
   std::vector<SharerHook> sharer_hooks_;
   SnoopStats snoop_;

@@ -21,9 +21,6 @@ void Node::start(Interconnect* interconnect, verify::CoherenceOracle* oracle) {
   NC_ASSERT(interconnect != nullptr, "node started without a protocol");
   interconnect_ = interconnect;
   oracle_ = oracle;
-  drain_fp_ = interconnect->commit_profile().private_drain_local
-                  ? sim::CommitFootprint::kLocal
-                  : sim::CommitFootprint::kShared;
   engine_->spawn(drain_loop());
 }
 
@@ -45,7 +42,7 @@ sim::Task<void> Node::drain_loop() {
       // Private writes flow straight into the local memory.
       co_await mem_.enqueue_update(
           entry.dirty_words(),
-          sim::make_trace_tag(id_, sim::TraceTagKind::kWrite), drain_fp_);
+          sim::make_trace_tag(id_, sim::TraceTagKind::kWrite));
     } else {
       if (oracle_ != nullptr) oracle_->on_drain_start(id_, entry.block_base);
       co_await interconnect_->drain_write(id_, entry);

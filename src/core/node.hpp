@@ -91,9 +91,6 @@ class Node {
   memory::MemoryModule mem_;
   Interconnect* interconnect_ = nullptr;
   verify::CoherenceOracle* oracle_ = nullptr;
-  /// Footprint for the private-write drain tail, resolved once in start()
-  /// from the stack's CommitProfile (see Interconnect::commit_profile).
-  sim::CommitFootprint drain_fp_ = sim::CommitFootprint::kShared;
   bool drain_in_flight_ = false;
   bool shutdown_ = false;
   std::unordered_set<Addr> prefetch_in_flight_;

@@ -42,9 +42,6 @@ std::string detailed_report(const MachineConfig& config,
          static_cast<long long>(summary.run_time),
          summary.verified ? "yes" : "NO");
   append(out, "%s\n", format_throughput(summary).c_str());
-  if (summary.pdes.threads > 0) {
-    append(out, "%s\n", format_pdes(summary).c_str());
-  }
   if (summary.snoop.deliveries > 0) {
     append(out, "%s\n", format_snoop(summary).c_str());
   }

@@ -316,29 +316,6 @@ bool deserialize_summary(const std::string& text, RunSummary* out) {
   return true;
 }
 
-std::string format_pdes(const RunSummary& s) {
-  if (s.pdes.threads == 0) return "";
-  char buf[384];
-  std::snprintf(buf, sizeof(buf),
-                "pdes: threads=%d rounds=%llu parallel=%llu serial=%llu "
-                "batches=%llu dispatched=%llu escaped=%llu "
-                "residual_frac=%.4f handoffs=%llu foreign_bank=%llu "
-                "cross_ring=%llu stage=%.3fs commit=%.3fs",
-                s.pdes.threads,
-                static_cast<unsigned long long>(s.pdes.rounds),
-                static_cast<unsigned long long>(s.pdes.parallel_commits),
-                static_cast<unsigned long long>(s.pdes.serial_commits),
-                static_cast<unsigned long long>(s.pdes.parallel_batches),
-                static_cast<unsigned long long>(s.pdes.dispatched_batches),
-                static_cast<unsigned long long>(s.pdes.escaped_continuations),
-                s.pdes.residual_fraction(),
-                static_cast<unsigned long long>(s.pdes.lease_handoffs),
-                static_cast<unsigned long long>(s.pdes.foreign_bank_accesses),
-                static_cast<unsigned long long>(s.pdes.cross_arc_ring_touches),
-                s.pdes.stage_seconds, s.pdes.commit_seconds);
-  return buf;
-}
-
 std::string format_snoop(const RunSummary& s) {
   if (s.snoop.deliveries == 0) return "";
   const double total =

@@ -10,40 +10,6 @@
 
 namespace netcache::core {
 
-/// Parallel-commit PDES observability (DESIGN.md section 13). Zero when the
-/// run was serial. Deliberately NOT serialized by serialize_summary():
-/// --intra-jobs is not part of the sweep result-cache key (results are
-/// bit-identical across intra values), so a cache record produced by a
-/// partitioned run must deserialize byte-identically to a serial run's.
-/// The event/commit counters are deterministic for a fixed intra_jobs value;
-/// only stage_seconds/commit_seconds are wall-clock.
-struct PdesStats {
-  int threads = 0;  ///< partition count (0 = serial run)
-  std::uint64_t rounds = 0;
-  std::uint64_t cross_partition_events = 0;
-  std::uint64_t parallel_commits = 0;
-  std::uint64_t serial_commits = 0;
-  std::uint64_t parallel_batches = 0;
-  /// Batches dispatched to worker threads (host-dependent, like the wall
-  /// times: small batches fire coordinator-sequentially).
-  std::uint64_t dispatched_batches = 0;
-  std::uint64_t escaped_continuations = 0;
-  std::uint64_t residual_events = 0;
-  std::uint64_t lease_handoffs = 0;
-  std::uint64_t foreign_bank_accesses = 0;
-  std::uint64_t cross_arc_ring_touches = 0;
-  double stage_seconds = 0.0;
-  double commit_seconds = 0.0;
-  /// Fraction of committed events that went through the serialized path.
-  /// 1.0 for an all-serial (or empty) run.
-  double residual_fraction() const {
-    const std::uint64_t total = parallel_commits + serial_commits;
-    return total == 0
-               ? 1.0
-               : static_cast<double>(serial_commits) / static_cast<double>(total);
-  }
-};
-
 struct RunSummary {
   std::string system;
   std::string app;
@@ -83,16 +49,11 @@ struct RunSummary {
   std::uint64_t overflow_pushes = 0;
   std::uint64_t wheel_regrows = 0;
 
-  // Parallel-commit PDES phase counters (see PdesStats: excluded from
-  // serialization and determinism comparisons across intra_jobs values).
-  PdesStats pdes;
-
   // Snoop-delivery host-cost counters (sharer tracking, DESIGN.md section
-  // 16). Excluded from serialization and format_summary for the same
-  // reason as PdesStats: probes/probes_avoided differ between the tracked
-  // and full-scan paths, and peak_blocks varies with the --intra-jobs shard
-  // count, while neither knob is part of the result-cache key — a cache
-  // record must deserialize byte-identically regardless of either setting.
+  // 16). Excluded from serialization and format_summary: they differ
+  // between the tracked and full-scan paths, while sharer tracking is not
+  // part of the result-cache key — a cache record must deserialize
+  // byte-identically with tracking on or off.
   SnoopStats snoop;
 
   // Engine throughput (wall-clock observability; not part of the simulated
@@ -114,22 +75,17 @@ std::string format_summary(const RunSummary& s);
 /// from format_summary so bit-identical output comparisons can filter it.
 std::string format_throughput(const RunSummary& s);
 
-/// One-line PDES phase summary ("pdes: ..."), or "" for a serial run. Kept
-/// separate from format_summary for the same filtering reason as
-/// format_throughput: the counters vary with --intra-jobs.
-std::string format_pdes(const RunSummary& s);
-
 /// One-line snoop-delivery summary ("snoop: ..."), or "" when the run had
 /// no deliveries. Kept separate from format_summary because the counters
 /// differ between the sharer-tracked and full-scan paths (which must stay
 /// byte-identical in every comparable output).
 std::string format_snoop(const RunSummary& s);
 
-/// Serializes every field of `s` except the PdesStats block (including the
-/// read-latency histogram and the oracle/fault counters) to a
-/// line-oriented text record. Doubles are
-/// written as C99 hex-floats, so deserialize_summary() reproduces the
-/// summary bit for bit — the contract the sweep result cache depends on.
+/// Serializes every field of `s` except the SnoopStats block (including the
+/// read-latency histogram and the oracle/fault counters) to a line-oriented
+/// text record. Doubles are written as C99 hex-floats, so
+/// deserialize_summary() reproduces the summary bit for bit — the contract
+/// the sweep result cache depends on.
 std::string serialize_summary(const RunSummary& s);
 
 /// Inverse of serialize_summary(). Returns false (leaving `out` in an

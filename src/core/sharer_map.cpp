@@ -3,100 +3,76 @@
 #include <bit>
 
 #include "src/common/nc_assert.hpp"
-#include "src/sim/partition.hpp"
 
 namespace netcache::core {
 
-SharerMap::SharerMap(int nodes, int shards, std::size_t blocks_hint)
+SharerMap::SharerMap(int nodes, std::size_t blocks_hint)
     : nodes_(nodes), words_((nodes + 63) / 64) {
-  NC_ASSERT(nodes > 0 && shards > 0, "empty sharer map");
-  shard_of_.reserve(static_cast<std::size_t>(nodes));
-  for (NodeId n = 0; n < nodes; ++n) {
-    shard_of_.push_back(sim::partition_of_node(n, nodes, shards));
-  }
-  shards_.resize(static_cast<std::size_t>(shards));
-  for (Shard& sh : shards_) sh.slots.reserve(blocks_hint);
-  merge_words_.resize(static_cast<std::size_t>(words_));
+  NC_ASSERT(nodes > 0, "empty sharer map");
+  slots_.reserve(blocks_hint);
 }
 
 void SharerMap::set_resident(Addr block_base, NodeId node, bool resident) {
-  Shard& sh = shards_[static_cast<std::size_t>(
-      shard_of_[static_cast<std::size_t>(node)])];
   const std::size_t word = static_cast<std::size_t>(node) >> 6;
   const std::uint64_t bit = std::uint64_t{1} << (node & 63);
-  auto it = sh.slots.find(block_base);
+  auto it = slots_.find(block_base);
   if (resident) {
-    if (it == sh.slots.end()) {
+    if (it == slots_.end()) {
       std::uint32_t slot;
-      if (!sh.free_slots.empty()) {
-        slot = sh.free_slots.back();
-        sh.free_slots.pop_back();
+      if (!free_slots_.empty()) {
+        slot = free_slots_.back();
+        free_slots_.pop_back();
       } else {
-        slot = static_cast<std::uint32_t>(sh.pool.size() /
+        slot = static_cast<std::uint32_t>(pool_.size() /
                                           static_cast<std::size_t>(words_));
-        sh.pool.resize(sh.pool.size() + static_cast<std::size_t>(words_), 0);
+        pool_.resize(pool_.size() + static_cast<std::size_t>(words_), 0);
       }
-      it = sh.slots.emplace(block_base, slot).first;
-      ++sh.live;
-      if (sh.live > sh.peak) sh.peak = sh.live;
+      it = slots_.emplace(block_base, slot).first;
+      ++live_;
+      if (live_ > peak_) peak_ = live_;
     }
-    sh.pool[static_cast<std::size_t>(it->second) *
-                static_cast<std::size_t>(words_) +
-            word] |= bit;
+    pool_[static_cast<std::size_t>(it->second) *
+              static_cast<std::size_t>(words_) +
+          word] |= bit;
   } else {
-    if (it == sh.slots.end()) return;
-    std::uint64_t* w = &sh.pool[static_cast<std::size_t>(it->second) *
-                                static_cast<std::size_t>(words_)];
+    if (it == slots_.end()) return;
+    std::uint64_t* w = &pool_[static_cast<std::size_t>(it->second) *
+                              static_cast<std::size_t>(words_)];
     w[word] &= ~bit;
     bool any = false;
     for (int i = 0; i < words_; ++i) any |= w[i] != 0;
     if (!any) {
-      sh.free_slots.push_back(it->second);
-      sh.slots.erase(it);
-      --sh.live;
+      free_slots_.push_back(it->second);
+      slots_.erase(it);
+      --live_;
     }
   }
+}
+
+const std::uint64_t* SharerMap::bitmap(Addr block_base) const {
+  auto it = slots_.find(block_base);
+  if (it == slots_.end()) return nullptr;
+  return &pool_[static_cast<std::size_t>(it->second) *
+                static_cast<std::size_t>(words_)];
 }
 
 bool SharerMap::contains(Addr block_base, NodeId node) const {
-  const Shard& sh = shards_[static_cast<std::size_t>(
-      shard_of_[static_cast<std::size_t>(node)])];
-  auto it = sh.slots.find(block_base);
-  if (it == sh.slots.end()) return false;
-  return ((sh.pool[static_cast<std::size_t>(it->second) *
-                       static_cast<std::size_t>(words_) +
-                   (static_cast<std::size_t>(node) >> 6)] >>
-           (node & 63)) &
-          1) != 0;
+  const std::uint64_t* w = bitmap(block_base);
+  return w != nullptr &&
+         ((w[static_cast<std::size_t>(node) >> 6] >> (node & 63)) & 1) != 0;
 }
 
 const std::vector<NodeId>& SharerMap::snapshot(Addr block_base) {
-  for (std::uint64_t& w : merge_words_) w = 0;
-  for (const Shard& sh : shards_) {
-    auto it = sh.slots.find(block_base);
-    if (it == sh.slots.end()) continue;
-    const std::uint64_t* w = &sh.pool[static_cast<std::size_t>(it->second) *
-                                      static_cast<std::size_t>(words_)];
-    for (int i = 0; i < words_; ++i) {
-      merge_words_[static_cast<std::size_t>(i)] |= w[i];
-    }
-  }
-  merge_nodes_.clear();
+  snapshot_.clear();
+  const std::uint64_t* w = bitmap(block_base);
+  if (w == nullptr) return snapshot_;
   for (int i = 0; i < words_; ++i) {
-    std::uint64_t w = merge_words_[static_cast<std::size_t>(i)];
-    while (w != 0) {
-      merge_nodes_.push_back(
-          static_cast<NodeId>(i * 64 + std::countr_zero(w)));
-      w &= w - 1;
+    for (std::uint64_t bits = w[i]; bits != 0; bits &= bits - 1) {
+      snapshot_.push_back(
+          static_cast<NodeId>(i * 64 + std::countr_zero(bits)));
     }
   }
-  return merge_nodes_;
-}
-
-std::uint64_t SharerMap::peak_blocks() const {
-  std::uint64_t sum = 0;
-  for (const Shard& sh : shards_) sum += sh.peak;
-  return sum;
+  return snapshot_;
 }
 
 }  // namespace netcache::core

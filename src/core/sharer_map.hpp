@@ -1,9 +1,9 @@
 // Sharer-tracking directory for the simulator's own benefit (DESIGN.md
 // section 16): an exact mirror of which nodes' L2s hold each shared block,
-// so snoop delivery costs O(shards + sharers) instead of probing every
-// node's L2 on every coherence commit. This is host-side bookkeeping, not a
-// protocol structure — simulated timing and all results are bit-identical
-// with tracking off (NETCACHE_SHARER_TRACKING=0 restores the full scan).
+// so snoop delivery costs O(sharers) instead of probing every node's L2 on
+// every coherence commit. This is host-side bookkeeping, not a protocol
+// structure — simulated timing and all results are bit-identical with
+// tracking off (NETCACHE_SHARER_TRACKING=0 restores the full scan).
 #pragma once
 
 #include <cstdint>
@@ -14,70 +14,51 @@
 
 namespace netcache::core {
 
-/// L2 block base -> node bitmap (u64 words sized to the node count),
-/// sharded by conservative-PDES partition so that partition-local commits
-/// (cache fills under the DESIGN.md section 13 footprint contract) mutate
-/// only their own partition's shard.
-///
-/// Thread-safety contract: set_resident(b, n) may run concurrently with
-/// set_resident(b', n') iff n and n' belong to different partitions — which
-/// is exactly what the parallel-commit workers' same-timestamp batches
-/// guarantee (each worker fires only its own partition's node-local events).
-/// snapshot()/contains() reads happen only in serialized commit phases
-/// (deliveries are kShared), which the engine's phase barrier separates from
-/// every parallel batch.
+/// L2 block base -> node bitmap (u64 words sized to the node count).
 class SharerMap {
  public:
-  /// `shards` is the run's effective intra-jobs partition count (>= 1).
-  /// `blocks_hint` pre-sizes each shard's hash map (a good hint: the
-  /// per-node L2 line count times the widest partition arc).
-  SharerMap(int nodes, int shards, std::size_t blocks_hint);
+  /// `blocks_hint` pre-sizes the hash map (a good hint: the per-node L2
+  /// line count times the node count).
+  SharerMap(int nodes, std::size_t blocks_hint);
 
   int nodes() const { return nodes_; }
-  int shards() const { return static_cast<int>(shards_.size()); }
 
   /// Records that `node`'s L2 now does (resident) or no longer does hold
   /// the block. Driven by the per-node cache residency hook at the three
-  /// points where L2 residency changes (insert, evict, invalidate); routed
-  /// to the shard owning `node`'s partition.
+  /// points where L2 residency changes (insert, evict, invalidate).
   void set_resident(Addr block_base, NodeId node, bool resident);
 
-  /// True iff `node` is recorded as caching the block (serialized phases
-  /// only — used by the NETCACHE_VERIFY exactness audit).
+  /// True iff `node` is recorded as caching the block (used by the
+  /// NETCACHE_VERIFY exactness audit).
   bool contains(Addr block_base, NodeId node) const;
 
-  /// Merges every shard's bitmap for the block and returns the sharers in
-  /// ascending node order — the exact per-node call sequence of a full
-  /// 0..N-1 snoop scan, restricted to the nodes whose L2 holds the block.
-  /// The returned vector is internal scratch, valid until the next call;
-  /// it is a snapshot, so delivery code may invalidate lines (mutating the
-  /// shards) while iterating it.
+  /// Returns the block's sharers in ascending node order — the exact
+  /// per-node call sequence of a full 0..N-1 snoop scan, restricted to the
+  /// nodes whose L2 holds the block. The returned vector is internal
+  /// scratch, valid until the next call; it is a snapshot, so delivery code
+  /// may invalidate lines (mutating the map) while iterating it.
   const std::vector<NodeId>& snapshot(Addr block_base);
 
-  /// Peak number of live (block, shard) entries, summed over the shards. A
-  /// block cached by nodes in k partitions counts k times, so this varies
-  /// with the shard count — treat it like the PdesStats counters: excluded
-  /// from serialization and bit-identity comparisons.
-  std::uint64_t peak_blocks() const;
+  /// Peak number of blocks with at least one sharer. Host-side
+  /// observability, like the other SnoopStats counters: excluded from
+  /// serialization and bit-identity comparisons.
+  std::uint64_t peak_blocks() const { return peak_; }
 
  private:
-  struct Shard {
-    /// Block base -> bitmap slot number (offset / words into `pool`).
-    std::unordered_map<Addr, std::uint32_t> slots;
-    /// Bitmap storage, `words_` u64s per slot; freed slots are recycled so
-    /// the pool plateaus at the shard's peak working set.
-    std::vector<std::uint64_t> pool;
-    std::vector<std::uint32_t> free_slots;
-    std::uint64_t live = 0;
-    std::uint64_t peak = 0;
-  };
+  /// Pointer to the block's `words_` bitmap words, or null if untracked.
+  const std::uint64_t* bitmap(Addr block_base) const;
 
   int nodes_;
-  int words_;                  // bitmap words per entry: ceil(nodes / 64)
-  std::vector<int> shard_of_;  // node -> owning shard (partition arc)
-  std::vector<Shard> shards_;
-  std::vector<std::uint64_t> merge_words_;  // snapshot() scratch
-  std::vector<NodeId> merge_nodes_;
+  int words_;  // bitmap words per entry: ceil(nodes / 64)
+  /// Block base -> bitmap slot number (offset / words_ into `pool_`).
+  std::unordered_map<Addr, std::uint32_t> slots_;
+  /// Bitmap storage, `words_` u64s per slot; freed slots are recycled so
+  /// the pool plateaus at the peak working set.
+  std::vector<std::uint64_t> pool_;
+  std::vector<std::uint32_t> free_slots_;
+  std::uint64_t live_ = 0;
+  std::uint64_t peak_ = 0;
+  std::vector<NodeId> snapshot_;  // snapshot() scratch
 };
 
 }  // namespace netcache::core

@@ -10,9 +10,6 @@ sim::Task<void> Lock::acquire(Cpu& cpu) {
   Cycles t0 = cpu.now();
   // Release consistency: all prior writes must be globally performed first.
   co_await cpu.node().fence();
-  // Lock state and sync traffic are machine-global: leave the parallel
-  // commit worker (no-op outside parallel batches).
-  co_await cpu.engine().escape();
   co_await machine_->interconnect().sync_message(cpu.id());
   while (held_) {
     co_await waiters_.wait(cpu.engine(), {cpu.id(), "cpu"});
@@ -25,7 +22,6 @@ sim::Task<void> Lock::release(Cpu& cpu) {
   NodeStats& st = cpu.node().stats();
   Cycles t0 = cpu.now();
   co_await cpu.node().fence();
-  co_await cpu.engine().escape();  // shared lock state (see acquire)
   co_await machine_->interconnect().sync_message(cpu.id());
   held_ = false;
   waiters_.notify_all(cpu.engine());
@@ -37,7 +33,6 @@ sim::Task<void> Barrier::wait(Cpu& cpu) {
   ++st.barrier_waits;
   Cycles t0 = cpu.now();
   co_await cpu.node().fence();
-  co_await cpu.engine().escape();  // shared barrier state (see Lock::acquire)
   co_await machine_->interconnect().sync_message(cpu.id());
   if (++arrived_ == parties_) {
     arrived_ = 0;

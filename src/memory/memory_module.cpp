@@ -20,15 +20,13 @@ void MemoryModule::prune(Cycles now) {
   }
 }
 
-sim::Task<void> MemoryModule::read_block(std::uint16_t tag,
-                                         sim::CommitFootprint fp) {
+sim::Task<void> MemoryModule::read_block(std::uint16_t tag) {
   ++reads_served_;
   Cycles done = claim(read_busy_, block_read_);
-  co_await engine_->delay(done - engine_->now(), tag, fp);
+  co_await engine_->delay(done - engine_->now(), tag);
 }
 
-sim::Task<void> MemoryModule::enqueue_update(int words, std::uint16_t tag,
-                                             sim::CommitFootprint fp) {
+sim::Task<void> MemoryModule::enqueue_update(int words, std::uint16_t tag) {
   NC_ASSERT(words > 0, "memory update with no words");
   ++updates_queued_;
   Cycles now = engine_->now();
@@ -46,7 +44,7 @@ sim::Task<void> MemoryModule::enqueue_update(int words, std::uint16_t tag,
     Cycles ack_at =
         update_completions_[pending - 1 -
                             static_cast<std::size_t>(hysteresis_)];
-    if (ack_at > now) co_await engine_->delay(ack_at - now, tag, fp);
+    if (ack_at > now) co_await engine_->delay(ack_at - now, tag);
   }
 }
 

@@ -22,23 +22,15 @@ class MemoryModule {
         hysteresis_(hysteresis) {}
 
   /// Completes when the requested block's data has been read out of the
-  /// module (FIFO behind other reads on the read port). `tag`/`fp` annotate
-  /// the completion wakeup (sim::Engine::delay): callers on a node-local
-  /// path (a private read or a local-home fill) pass their node tag and a
-  /// kLocal footprint so the parallel-commit PDES path can fire the wakeup
-  /// on the owning worker; protocol stacks touching a *remote* home bank
-  /// keep the defaults (shared, serialized).
-  sim::Task<void> read_block(std::uint16_t tag = 0,
-                             sim::CommitFootprint fp =
-                                 sim::CommitFootprint::kShared);
+  /// module (FIFO behind other reads on the read port). `tag` annotates the
+  /// completion wakeup in the trace ring (sim::Engine::delay).
+  sim::Task<void> read_block(std::uint16_t tag = 0);
 
   /// Queues a coalesced update of `words` 4-byte words on the write port.
   /// Completes when the acknowledgement may be sent: immediately after
   /// queueing if the queue is at or below the hysteresis point, otherwise
-  /// when it drains back to it. `tag`/`fp` as in read_block().
-  sim::Task<void> enqueue_update(int words, std::uint16_t tag = 0,
-                                 sim::CommitFootprint fp =
-                                     sim::CommitFootprint::kShared);
+  /// when it drains back to it. `tag` as in read_block().
+  sim::Task<void> enqueue_update(int words, std::uint16_t tag = 0);
 
   /// Applies a block writeback (DMON-I): occupies the write port like an
   /// update of a full block, no ack flow control.

@@ -22,9 +22,6 @@ sim::Task<core::FetchResult> DmonUpdateNet::fetch_block(NodeId requester,
   }
   co_await fabric_.send_request(requester, home);
   if (faults_ != nullptr) co_await faults_->stall_gate(requester, home);
-  if (sim::PartitionSet* ps = eng.partitions_mut()) {
-    ps->note_bank_access(requester, home);
-  }
   // Memory is always up to date under update coherence: the home replies
   // immediately.
   co_await machine_->node(home).mem().read_block();

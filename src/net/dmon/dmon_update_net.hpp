@@ -24,13 +24,6 @@ class DmonUpdateNet final : public core::Interconnect {
   sim::Task<void> sync_message(NodeId src) override;
   const char* name() const override { return "DMON-U"; }
 
-  /// Cheapest cross-node message: every DMON transfer pays at least the
-  /// control-channel reservation mini-slot plus the fiber flight (the
-  /// retune and per-transfer slots only add to this).
-  Cycles lookahead() const override {
-    return lat_->reservation + lat_->flight;
-  }
-
  private:
   core::Machine* machine_;
   const LatencyParams* lat_;

@@ -65,11 +65,6 @@ sim::Task<core::FetchResult> ISpeedNet::fetch_block(NodeId requester,
 
   // Memory supplies the block. If nobody owned it, the requester becomes
   // the owner with a clean (shared) copy.
-  if (home != requester) {
-    if (sim::PartitionSet* ps = eng.partitions_mut()) {
-      ps->note_bank_access(requester, home);
-    }
-  }
   co_await machine_->node(home).mem().read_block();
   if (home != requester) {
     co_await fabric_.send_block_reply(home, requester);
@@ -124,7 +119,7 @@ sim::Task<void> ISpeedNet::drain_write(NodeId src,
   NodeId drop_victim = kNoNode;
   if (sharers != nullptr && oracle_ == nullptr) {
     // The snapshot is required here (not just faster): apply_invalidate
-    // drops L2 lines, mutating the shards mid-walk.
+    // drops L2 lines, mutating the map mid-walk.
     const std::vector<NodeId>& set = sharers->snapshot(block);
     if (faults_ != nullptr &&
         faults_->armed(faults::FaultKind::kDropInvalidate, eng.now())) {
@@ -193,9 +188,6 @@ sim::Task<void> ISpeedNet::drain_write(NodeId src,
     NodeId home = machine_->address_space().home(block);
     if (faults_ != nullptr && home != src) {
       co_await faults_->stall_gate(src, home);
-    }
-    if (sim::PartitionSet* ps = eng.partitions_mut()) {
-      ps->note_bank_access(src, home);
     }
     co_await machine_->node(home).mem().read_block();
     if (home != src) {

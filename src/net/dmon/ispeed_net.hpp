@@ -33,23 +33,6 @@ class ISpeedNet final : public core::Interconnect {
                       cache::LineState state) override;
   const char* name() const override { return "DMON-I"; }
 
-  /// The fill tail re-enters shared state: on_l2_eviction (called from the
-  /// requester's L2 insert after a fetch) mutates the global directory_ and
-  /// spawns writeback traffic, so fill-tail wakeups must commit serialized.
-  /// The private-write drain path never reaches the interconnect and stays
-  /// node-local.
-  core::CommitProfile commit_profile() const override {
-    core::CommitProfile p;
-    p.fill_tail_local = false;
-    return p;
-  }
-
-  /// Same fabric as DMON-U: reservation mini-slot + fiber flight bounds
-  /// every cross-node transfer, including I-SPEED invalidations.
-  Cycles lookahead() const override {
-    return lat_->reservation + lat_->flight;
-  }
-
   /// Directory owner of a block, or kNoNode if memory owns it (test hook).
   NodeId owner_of(Addr block_base) const;
 

@@ -27,9 +27,6 @@ sim::Task<core::FetchResult> LambdaNetNet::fetch_block(NodeId requester,
       lat_->mem_request);
   co_await eng.delay(lat_->flight);
   if (faults_ != nullptr) co_await faults_->stall_gate(requester, home);
-  if (sim::PartitionSet* ps = eng.partitions_mut()) {
-    ps->note_bank_access(requester, home);
-  }
   co_await machine_->node(home).mem().read_block();
   co_await channels_[static_cast<std::size_t>(home)]->use(
       lat_->block_transfer);

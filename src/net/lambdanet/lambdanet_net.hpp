@@ -28,12 +28,6 @@ class LambdaNetNet final : public core::Interconnect {
   sim::Task<void> sync_message(NodeId src) override;
   const char* name() const override { return "LambdaNet"; }
 
-  /// Cheapest cross-node message: a request on the sender's dedicated
-  /// transmit channel plus the fiber flight.
-  Cycles lookahead() const override {
-    return lat_->mem_request + lat_->flight;
-  }
-
  private:
   core::Machine* machine_;
   const LatencyParams* lat_;

@@ -80,9 +80,6 @@ sim::Task<core::FetchResult> NetCacheNet::fetch_block(NodeId requester,
       }
       ++st.shared_cache_hits;
       ring_->touch(block, eng.now());
-      if (sim::PartitionSet* ps = eng.partitions_mut()) {
-        ps->note_ring_touch(requester, home);
-      }
       co_await eng.delay(*arrive - eng.now());
       co_await eng.delay(lat_->ni_to_l2);
       co_return core::FetchResult{true, cache::LineState::kValid,
@@ -110,9 +107,6 @@ sim::Task<core::FetchResult> NetCacheNet::fetch_block(NodeId requester,
     if (oracle_ != nullptr) oracle_->on_ring_hit(requester, block);
     ++st.shared_cache_hits;
     ring_->touch(block, eng.now());
-    if (sim::PartitionSet* ps = eng.partitions_mut()) {
-      ps->note_ring_touch(requester, home);
-    }
     co_await eng.delay(*arrive - eng.now());
     co_await eng.delay(lat_->ni_to_l2);
     co_return core::FetchResult{true, cache::LineState::kValid,
@@ -121,9 +115,6 @@ sim::Task<core::FetchResult> NetCacheNet::fetch_block(NodeId requester,
   if (ring_) ++st.shared_cache_misses;
 
   if (faults_ != nullptr) co_await faults_->stall_gate(requester, home);
-  if (sim::PartitionSet* ps = eng.partitions_mut()) {
-    ps->note_bank_access(requester, home);
-  }
   co_await machine_->node(home).mem().read_block();
   Cycles transfer = lat_->block_transfer;
   if (ring_) {
@@ -161,7 +152,7 @@ sim::Task<void> NetCacheNet::drain_write(NodeId src,
   co_await eng.delay(lat_->l2_tag_check + lat_->write_to_ni);
   int ch = coherence_channel_of(src);
   co_await coherence_channels_[static_cast<std::size_t>(ch)]->transmit(
-      coherence_member_of(src), lat_->update_message(words, true), src);
+      coherence_member_of(src), lat_->update_message(words, true));
   co_await eng.delay(lat_->flight);
 
   // Broadcast delivery: every other node snoops the update into its L2
@@ -195,9 +186,6 @@ sim::Task<void> NetCacheNet::drain_write(NodeId src,
         // There is a window until the home rewrites the circulating copy;
         // reads in that window must wait (second critical race, Section 3.4).
         update_window_[entry.block_base] = eng.now() + window_cycles_;
-        if (sim::PartitionSet* ps = eng.partitions_mut()) {
-          ps->note_ring_touch(src, home);
-        }
       }
     }
   }
@@ -213,7 +201,7 @@ sim::Task<void> NetCacheNet::sync_message(NodeId src) {
   sim::Engine& eng = machine_->engine();
   int ch = coherence_channel_of(src);
   co_await coherence_channels_[static_cast<std::size_t>(ch)]->transmit(
-      coherence_member_of(src), lat_->update_message(1, true), src);
+      coherence_member_of(src), lat_->update_message(1, true));
   co_await eng.delay(lat_->flight);
 }
 

@@ -36,13 +36,6 @@ class NetCacheNet final : public core::Interconnect {
     return ring_ ? "NetCache" : "NetCache-NoRing";
   }
 
-  /// Cheapest cross-node message: one request slot on the shared TDMA
-  /// request channel plus the fiber flight to the home node. Ring refreshes
-  /// and update broadcasts all cost at least this much.
-  Cycles lookahead() const override {
-    return lat_->mem_request + lat_->flight;
-  }
-
   RingCache* ring() { return ring_.get(); }
 
  private:

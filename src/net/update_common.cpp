@@ -34,10 +34,10 @@ void deliver_update_broadcast(core::Machine& machine, NodeId src,
 
   NodeId drop_victim = kNoNode;
   if (sharers != nullptr && oracle == nullptr) {
-    // O(shards + sharers) fast path (DESIGN.md section 16): the map is an
-    // exact mirror of L2 residency, so a skipped node's snoop would have
-    // been a contains() miss and a no-op. The snapshot is in ascending
-    // node order — the same call sequence as the full scan.
+    // O(sharers) fast path (DESIGN.md section 16): the map is an exact
+    // mirror of L2 residency, so a skipped node's snoop would have been a
+    // contains() miss and a no-op. The snapshot is in ascending node
+    // order — the same call sequence as the full scan.
     const std::vector<NodeId>& set = sharers->snapshot(block_base);
     if (faults != nullptr &&
         faults->armed(faults::FaultKind::kDropUpdate, eng.now())) {
@@ -102,9 +102,6 @@ void deliver_update_broadcast(core::Machine& machine, NodeId src,
 sim::Task<void> home_memory_update(core::Machine& machine, NodeId src,
                                    NodeId home, Addr block_base, int words) {
   sim::Engine& eng = machine.engine();
-  if (sim::PartitionSet* ps = eng.partitions_mut()) {
-    ps->note_bank_access(src, home);
-  }
   verify::CoherenceOracle* oracle = machine.oracle();
   faults::FaultPlan* faults = machine.faults();
 

@@ -328,7 +328,7 @@ class Server {
   void spawn_job(long job, int attempt) {
     sweep::ChildProc child;
     std::string error;
-    if (!sweep::spawn_cell_child(planner_.job_cell(job), jobs_,
+    if (!sweep::spawn_cell_child(planner_.job_cell(job),
                                  static_cast<std::size_t>(job), attempt,
                                  fds_to_close_in_child(), &child, &error)) {
       sweep::CellResult r;

@@ -26,15 +26,18 @@ const char* to_string(TraceTagKind kind) {
   return "?";
 }
 
-std::string format_trace_tail(const std::vector<TraceRecord>& records,
-                              std::uint64_t total_recorded) {
+std::string TraceRing::dump() const {
+  if (!enabled()) return std::string();
+  const std::size_t kept = recorded_ < ring_.size()
+                               ? static_cast<std::size_t>(recorded_)
+                               : ring_.size();
   std::string out;
   char line[128];
   std::snprintf(line, sizeof(line),
                 "event trace tail (%" PRIu64 " recorded, last %zu kept):\n",
-                total_recorded, records.size());
+                recorded_, kept);
   out += line;
-  for (const TraceRecord& r : records) {
+  for_each_tail([&](const TraceRecord& r) {
     char what[32] = "";
     if (r.user_tag != 0) {
       NodeId node = trace_tag_node(r.user_tag);
@@ -50,16 +53,8 @@ std::string format_trace_tail(const std::vector<TraceRecord>& records,
                   "  t=%" PRId64 " %-8s seq=%" PRIu64 "%s queue_depth=%u\n",
                   r.time, to_string(r.kind), r.tag, what, r.queue_depth);
     out += line;
-  }
+  });
   return out;
-}
-
-std::string TraceRing::dump() const {
-  if (!enabled()) return std::string();
-  std::vector<TraceRecord> records;
-  records.reserve(ring_.size());
-  for_each_tail([&](const TraceRecord& r) { records.push_back(r); });
-  return format_trace_tail(records, recorded_);
 }
 
 std::string format_blocked_report(const BlockedRegistry& blocked, Cycles now) {

@@ -38,108 +38,57 @@ struct BlockedInfo {
 
 /// O(1) add/remove slot table of currently blocked waiters. Awaiters hold
 /// the returned ticket across their suspension and remove it on resume.
-///
-/// Under the parallel-commit PDES layer (DESIGN.md section 13), waiters can
-/// register and deregister from partition worker threads, so the table is
-/// optionally sharded by the waiter's node: shard_by_node(T, nodes) gives
-/// each partition arc its own slot table (plus one extra shard for waiters
-/// not bound to a node, which only ever suspend in serialized context). A
-/// node-tagged waiter is touched only by its arc's owning worker during a
-/// parallel batch, or by the coordinator during serialized phases — never
-/// both at once — so no shard needs a lock. Unsharded (the default) there is
-/// a single table and behavior is exactly the historical one.
 class BlockedRegistry {
  public:
-  using Ticket = std::uint64_t;
-
-  /// Splits the table into `threads` node-arc shards (contiguous arcs over
-  /// `nodes`, matching PartitionSet::partition_of_node) plus one shard for
-  /// non-node-bound waiters. Must be called while the registry is empty.
-  void shard_by_node(int threads, int nodes) {
-    NC_ASSERT(empty(), "cannot re-shard a registry with live waiters");
-    NC_ASSERT(threads >= 1 && nodes >= threads, "bad blocked-registry shard");
-    threads_ = threads;
-    nodes_ = nodes;
-    shards_.clear();
-    shards_.resize(static_cast<std::size_t>(threads) + 1);
-  }
+  using Ticket = std::uint32_t;
 
   Ticket add(const BlockedInfo& info) {
-    const std::size_t s = shard_of(info.tag.node);
-    Shard& sh = shards_[s];
-    std::uint32_t t;
-    if (sh.free_head != kNone) {
-      t = sh.free_head;
-      sh.free_head = sh.slots[t].next_free;
+    Ticket t;
+    if (free_head_ != kNone) {
+      t = free_head_;
+      free_head_ = slots_[t].next_free;
     } else {
-      t = static_cast<std::uint32_t>(sh.slots.size());
-      sh.slots.emplace_back();
+      t = static_cast<Ticket>(slots_.size());
+      slots_.emplace_back();
     }
-    sh.slots[t].info = info;
-    sh.slots[t].live = true;
-    ++sh.live_count;
-    return (static_cast<Ticket>(s) << 32) | t;
+    slots_[t].info = info;
+    slots_[t].live = true;
+    ++live_count_;
+    return t;
   }
 
-  void remove(Ticket ticket) {
-    const std::size_t s = static_cast<std::size_t>(ticket >> 32);
-    const std::uint32_t t = static_cast<std::uint32_t>(ticket);
-    NC_ASSERT(s < shards_.size(), "blocked-registry ticket names a bad shard");
-    Shard& sh = shards_[s];
-    NC_ASSERT(t < sh.slots.size() && sh.slots[t].live,
+  void remove(Ticket t) {
+    NC_ASSERT(t < slots_.size() && slots_[t].live,
               "removing a dead blocked-registry ticket");
-    sh.slots[t].live = false;
-    sh.slots[t].next_free = sh.free_head;
-    sh.free_head = t;
-    --sh.live_count;
+    slots_[t].live = false;
+    slots_[t].next_free = free_head_;
+    free_head_ = t;
+    --live_count_;
   }
 
-  /// Only meaningful at quiescent points (no parallel batch in flight).
-  std::size_t size() const {
-    std::size_t n = 0;
-    for (const Shard& sh : shards_) n += sh.live_count;
-    return n;
-  }
-  bool empty() const { return size() == 0; }
+  std::size_t size() const { return live_count_; }
+  bool empty() const { return live_count_ == 0; }
 
-  /// Visits live entries shard by shard, in ticket order within a shard
-  /// (stable across identical runs at a fixed thread count).
+  /// Visits live entries in ticket order (stable across identical runs).
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (const Shard& sh : shards_) {
-      for (const Slot& s : sh.slots) {
-        if (s.live) fn(s.info);
-      }
+    for (const Slot& s : slots_) {
+      if (s.live) fn(s.info);
     }
   }
 
  private:
-  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+  static constexpr Ticket kNone = ~Ticket{0};
 
   struct Slot {
     BlockedInfo info;
-    std::uint32_t next_free = kNone;
+    Ticket next_free = kNone;
     bool live = false;
   };
 
-  struct Shard {
-    std::vector<Slot> slots;
-    std::uint32_t free_head = kNone;
-    std::size_t live_count = 0;
-  };
-
-  std::size_t shard_of(NodeId node) const {
-    if (threads_ <= 1) return 0;
-    if (node < 0 || node >= nodes_) {
-      return static_cast<std::size_t>(threads_);  // non-node-bound shard
-    }
-    return static_cast<std::size_t>(
-        (static_cast<long long>(node) * threads_) / nodes_);
-  }
-
-  std::vector<Shard> shards_{1};  // unsharded default: one table
-  int threads_ = 1;
-  int nodes_ = 0;
+  std::vector<Slot> slots_;
+  Ticket free_head_ = kNone;
+  std::size_t live_count_ = 0;
 };
 
 /// What an executed event was: a coroutine resume or a scheduled callback.
@@ -254,12 +203,5 @@ struct RunLimits {
 
 /// Formats the blocked-waiter table, one line per waiter.
 std::string format_blocked_report(const BlockedRegistry& blocked, Cycles now);
-
-/// Renders a trace tail (oldest first), one record per line — the shared
-/// formatter behind TraceRing::dump() and the partitioned engine's merged
-/// multi-ring dump. `total_recorded` is the all-time record count (>= the
-/// retained `records.size()`).
-std::string format_trace_tail(const std::vector<TraceRecord>& records,
-                              std::uint64_t total_recorded);
 
 }  // namespace netcache::sim

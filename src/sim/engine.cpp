@@ -11,24 +11,13 @@ Engine::Engine() { FailureReporter::instance().add(this); }
 
 Engine::~Engine() { FailureReporter::instance().remove(this); }
 
-void Engine::spawn(Task<void> t, Cycles delay, std::uint16_t tag,
-                   CommitFootprint fp) {
+void Engine::spawn(Task<void> t, Cycles delay, std::uint16_t tag) {
   // Direct-handle scheduling: the detached frame resumes straight from the
   // event record, no closure.
-  schedule_resume(delay, t.release_detached(), tag, fp);
+  schedule_resume(delay, t.release_detached(), tag);
 }
 
 Cycles Engine::run(const RunLimits& limits) {
-  if (parts_) {
-    // Conservative-PDES mode: the partition set owns the loop (it replicates
-    // this function's body in its commit phase); the end-of-run deadlock
-    // check is shared.
-    Cycles t = parts_->run(*this, limits);
-    if (limits.fail_on_blocked && !blocked_.empty()) {
-      fail_run("event queue drained with tasks still blocked (deadlock)");
-    }
-    return t;
-  }
   std::uint64_t stalled = 0;
   const std::uint64_t events_at_start = events_executed_;
   while (!queue_.empty()) {
@@ -79,39 +68,13 @@ void Engine::describe_failure_context(std::string& out) const {
                 "engine state: t=%" PRId64 " events_executed=%" PRIu64
                 " queue_depth=%zu wheel_pushes=%" PRIu64
                 " overflow_pushes=%" PRIu64 "\n",
-                now_, events_executed_,
-                parts_ ? parts_->size() : queue_.size(),
+                now_, events_executed_, queue_.size(),
                 queue_stats().wheel_pushes, queue_stats().overflow_pushes);
   out += line;
-  if (parts_) {
-    std::snprintf(line, sizeof(line),
-                  "pdes state: intra_threads=%d rounds=%" PRIu64
-                  " cross_partition_events=%" PRIu64 "\n",
-                  parts_->threads(), parts_->rounds(),
-                  parts_->cross_partition_events());
-    out += line;
-    const PdesCounters& pc = parts_->pdes();
-    std::snprintf(line, sizeof(line),
-                  "pdes commit: parallel=%" PRIu64 " serial=%" PRIu64
-                  " batches=%" PRIu64 " escaped=%" PRIu64 " residual=%" PRIu64
-                  " lease_handoffs=%" PRIu64 "\n",
-                  pc.parallel_commits, pc.serial_commits, pc.parallel_batches,
-                  pc.escaped_continuations, pc.residual_events,
-                  pc.lease_handoffs);
-    out += line;
-    std::snprintf(line, sizeof(line),
-                  "pdes wall: stage=%.6fs commit=%.6fs residual_fraction=%.4f\n",
-                  pc.stage_seconds, pc.commit_seconds, pc.residual_fraction());
-    out += line;
-  }
   if (!blocked_.empty()) {
     out += format_blocked_report(blocked_, now_);
   }
-  if (parts_ && parts_->trace_enabled()) {
-    out += parts_->dump_trace();
-  } else if (trace_.enabled()) {
-    out += trace_.dump();
-  }
+  if (trace_.enabled()) out += trace_.dump();
 }
 
 }  // namespace netcache::sim

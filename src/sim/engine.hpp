@@ -5,14 +5,12 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <memory>
 
 #include "src/common/failure.hpp"
 #include "src/common/nc_assert.hpp"
 #include "src/common/types.hpp"
 #include "src/sim/diagnostics.hpp"
 #include "src/sim/event_queue.hpp"
-#include "src/sim/partition.hpp"
 #include "src/sim/task.hpp"
 
 namespace netcache::sim {
@@ -33,49 +31,26 @@ class Engine : public FailureContext {
   /// schedule_resume when the action is just resuming a coroutine (the
   /// record then holds the handle itself, no allocation), and schedule_op
   /// when the action lives in an awaiter (the record holds a non-owning
-  /// EventOp pointer). Under --intra-jobs ops are boxed into this callback
-  /// path, since partitioned runs carry callables, not ops. `tag`
-  /// (make_trace_tag) annotates the event in the opt-in trace ring; 0 leaves
-  /// it untagged. `fp` declares the commit footprint (event_queue.hpp):
-  /// kLocal promises the handler's synchronous prefix touches only the
-  /// tagged node's partition-owned state, allowing the parallel-commit PDES
-  /// path to fire it on the owning worker. A kLocal event must carry a valid
-  /// node tag — untagged routing inherits the *currently firing* partition,
-  /// which is only guaranteed to match the handler's own state when pushed
-  /// from that handler.
+  /// EventOp pointer). `tag` (make_trace_tag) annotates the event in the
+  /// opt-in trace ring; 0 leaves it untagged.
   template <typename F>
-  void schedule(Cycles delay, F&& action, std::uint16_t tag = 0,
-                CommitFootprint fp = CommitFootprint::kShared) {
+  void schedule(Cycles delay, F&& action, std::uint16_t tag = 0) {
     NC_ASSERT(delay >= 0, "cannot schedule into the past");
-    if (parts_) [[unlikely]] {
-      parts_->push(now_ + delay, std::forward<F>(action), tag, fp);
-      return;
-    }
     queue_.push(now_ + delay, std::forward<F>(action), tag);
   }
 
   /// Fast path: schedules `h.resume()` at now() + delay with no closure.
   void schedule_resume(Cycles delay, std::coroutine_handle<> h,
-                       std::uint16_t tag = 0,
-                       CommitFootprint fp = CommitFootprint::kShared) {
+                       std::uint16_t tag = 0) {
     NC_ASSERT(delay >= 0, "cannot schedule into the past");
-    if (parts_) [[unlikely]] {
-      parts_->push_resume(now_ + delay, h, tag, fp);
-      return;
-    }
     queue_.push_resume(now_ + delay, h, tag);
   }
 
   /// Fast path: runs `op->run(op)` at now() + delay with no allocation. The
   /// record does not own `op`; it must stay in place until it fires (see
-  /// EventOp). Partitioned runs box it into a callback (see schedule()).
-  void schedule_op(Cycles delay, EventOp* op, std::uint16_t tag = 0,
-                   CommitFootprint fp = CommitFootprint::kShared) {
+  /// EventOp).
+  void schedule_op(Cycles delay, EventOp* op, std::uint16_t tag = 0) {
     NC_ASSERT(delay >= 0, "cannot schedule into the past");
-    if (parts_) [[unlikely]] {
-      parts_->push(now_ + delay, [op] { op->run(op); }, tag, fp);
-      return;
-    }
     queue_.push_op(now_ + delay, op, tag);
   }
 
@@ -83,20 +58,14 @@ class Engine : public FailureContext {
   /// insertion (see EventQueue::push_resume_batch). Fire order is the array
   /// order, identical to n schedule_resume calls. All n share `tag`.
   void schedule_resume_batch(Cycles delay, const std::coroutine_handle<>* hs,
-                             std::size_t n, std::uint16_t tag = 0,
-                             CommitFootprint fp = CommitFootprint::kShared) {
+                             std::size_t n, std::uint16_t tag = 0) {
     NC_ASSERT(delay >= 0, "cannot schedule into the past");
-    if (parts_) [[unlikely]] {
-      parts_->push_resume_batch(now_ + delay, hs, n, tag, fp);
-      return;
-    }
     queue_.push_resume_batch(now_ + delay, hs, n, tag);
   }
 
   /// Detaches `t` as an independent process starting at now() + delay.
   /// The coroutine frame self-destroys on completion.
-  void spawn(Task<void> t, Cycles delay = 0, std::uint16_t tag = 0,
-             CommitFootprint fp = CommitFootprint::kShared);
+  void spawn(Task<void> t, Cycles delay = 0, std::uint16_t tag = 0);
 
   /// Runs until no events remain, under `limits` (all unlimited by default).
   /// Returns the final virtual time. Throws SimError with a full diagnostic
@@ -107,79 +76,27 @@ class Engine : public FailureContext {
 
   /// Awaitable that suspends the current coroutine for `delay` cycles.
   /// Usage: `co_await engine.delay(n);` — `tag` annotates the wakeup event
-  /// in the trace ring (make_trace_tag); `fp` declares the wakeup's commit
-  /// footprint (see schedule()).
-  auto delay(Cycles delay, std::uint16_t tag = 0,
-             CommitFootprint fp = CommitFootprint::kShared) {
+  /// in the trace ring (make_trace_tag).
+  auto delay(Cycles delay, std::uint16_t tag = 0) {
     struct Awaiter {
       Engine* eng;
       Cycles d;
       std::uint16_t tag;
-      CommitFootprint fp;
       bool await_ready() const noexcept { return d <= 0; }
       void await_suspend(std::coroutine_handle<> h) {
-        eng->schedule_resume(d, h, tag, fp);
+        eng->schedule_resume(d, h, tag);
       }
       void await_resume() const noexcept {}
     };
-    return Awaiter{this, delay, tag, fp};
-  }
-
-  /// Escape hatch out of a parallel-commit worker: `co_await engine.escape()`
-  /// placed just before a handler's first touch of shared (cross-partition)
-  /// machine state. On a worker it suspends the continuation so the
-  /// coordinator resumes it serialized at the event's exact global-seq
-  /// position; in serial mode, on the coordinator, and in non-parallel
-  /// partitioned runs it completes synchronously — a true no-op, adding no
-  /// event and perturbing nothing.
-  auto escape() {
-    struct Awaiter {
-      bool await_ready() const noexcept {
-        return !PartitionSet::on_parallel_worker();
-      }
-      void await_suspend(std::coroutine_handle<> h) const noexcept {
-        PartitionSet::defer_escape(h);
-      }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{};
+    return Awaiter{this, delay, tag};
   }
 
   /// Number of events executed so far (diagnostic).
   std::uint64_t events_executed() const { return events_executed_; }
 
   /// Timing-wheel occupancy counters: where pushed events landed (O(1) wheel
-  /// bucket vs overflow heap) — the data for sizing kWheelSize. Partitioned
-  /// runs report the serial-identical shadow model's counters, so these are
-  /// independent of --intra-jobs.
-  const EventQueueStats& queue_stats() const {
-    return parts_ ? parts_->stats() : queue_.stats();
-  }
-
-  /// Switches this engine to conservative-PDES execution (see partition.hpp).
-  /// Must be called before any event is scheduled; `plan` must carry a
-  /// validated lookahead. Irreversible for the engine's lifetime.
-  void enable_partitions(const PartitionPlan& plan) {
-    NC_ASSERT(queue_.empty() && now_ == 0 && events_executed_ == 0,
-              "partitions must be enabled before the first event");
-    NC_ASSERT(parts_ == nullptr, "partitions already enabled");
-    parts_ = std::make_unique<PartitionSet>(plan);
-    // Parallel batches register/deregister blocked waiters from worker
-    // threads; sharding the registry by the waiter's node keeps each shard
-    // single-threaded per phase (see BlockedRegistry::shard_by_node).
-    blocked_.shard_by_node(plan.threads, plan.nodes);
-    if (trace_.enabled()) parts_->enable_trace(trace_.capacity());
-  }
-
-  bool partitioned() const { return parts_ != nullptr; }
-
-  /// The partitioned core, or null in serial mode (observability only).
-  const PartitionSet* partitions() const { return parts_.get(); }
-
-  /// Mutable partitioned core for the ownership-accounting hooks
-  /// (note_lease_handoff / note_bank_access / note_ring_touch); null in
-  /// serial mode.
-  PartitionSet* partitions_mut() { return parts_.get(); }
+  /// bucket vs overflow heap) — the data for sizing kWheelSize.
+  const EventQueueStats& queue_stats() const { return queue_.stats(); }
 
   /// Suspended waiters currently registered with this engine. Sync and
   /// resource primitives add themselves here while blocked so a drained
@@ -188,14 +105,8 @@ class Engine : public FailureContext {
   const BlockedRegistry& blocked() const { return blocked_; }
 
   /// Opt-in event trace: records (time, kind, tag, queue depth) for the last
-  /// `capacity` executed events. Capacity 0 disables tracing again. In a
-  /// partitioned run each partition keeps its own ring of this capacity and
-  /// failure reports merge the tails by seq (partition-local writes — see
-  /// the thread-confinement contract in DESIGN.md section 10).
-  void enable_trace(std::size_t capacity) {
-    trace_.enable(capacity);
-    if (parts_) parts_->enable_trace(capacity);
-  }
+  /// `capacity` executed events. Capacity 0 disables tracing again.
+  void enable_trace(std::size_t capacity) { trace_.enable(capacity); }
   const TraceRing& trace() const { return trace_; }
 
   /// Engine time, event count, blocked-task table, and trace tail — appended
@@ -203,13 +114,10 @@ class Engine : public FailureContext {
   void describe_failure_context(std::string& out) const override;
 
  private:
-  friend class PartitionSet;  // runs the engine loop body in commit phases
-
   [[noreturn]] void fail_run(const char* problem);
 
   Cycles now_ = 0;
   EventQueue queue_;
-  std::unique_ptr<PartitionSet> parts_;  // null = serial execution
   std::uint64_t events_executed_ = 0;
   BlockedRegistry blocked_;
   TraceRing trace_;

@@ -7,9 +7,8 @@
 //    leaf awaiters (CPU accesses, resource holds) embed the op in the
 //    suspended caller's frame, so firing it costs no allocation and no
 //    coroutine frame. The rare genuine-callback case stores one owning
-//    pointer to a heap-boxed callable; only tests (and the partitioned
-//    engine, which boxes ops) schedule callables, so the allocation never
-//    sits on a serial simulation's hot path.
+//    pointer to a heap-boxed callable; only tests schedule callables, so the
+//    allocation never sits on a simulation's hot path.
 //  - The queue is a hierarchical timing wheel: events within wheel_size()
 //    cycles of the cursor go into a power-of-two ring of FIFO buckets
 //    (O(1) push/pop); far-future events go to a small overflow min-heap and
@@ -34,15 +33,6 @@
 
 namespace netcache::sim {
 
-/// Declared commit footprint of a scheduled event (parallel-commit PDES,
-/// DESIGN.md section 13). kLocal promises the handler's synchronous prefix —
-/// everything it executes before its next suspension — touches only state
-/// owned by the event's partition (the node arc derived from the event tag),
-/// so the partitioned engine may fire it on the owning worker thread.
-/// kShared (the default) makes no promise and always commits serialized.
-/// Serial engines ignore the field entirely.
-enum class CommitFootprint : std::uint8_t { kShared = 0, kLocal = 1 };
-
 /// A non-owning event action: an op event stores only this pointer, and
 /// firing it calls `run(this)`. Lifetime rule: the op stays in place from
 /// schedule to fire — it is neither moved nor destroyed while its event is
@@ -60,8 +50,8 @@ struct EventOp {
 
 /// One scheduled event: a coroutine to resume (common case, a raw handle —
 /// no allocation, no indirection), a non-owning EventOp to run, or an owned,
-/// heap-boxed callable. Movable, fire-once. 32 bytes: time, seq, tag,
-/// footprint, kind and one pointer (the queue's intrusive link rides in the
+/// heap-boxed callable. Movable, fire-once. 32 bytes: time, seq, tag, kind
+/// and one pointer (the queue's intrusive link rides in the
 /// padding).
 class Event {
  public:
@@ -69,7 +59,7 @@ class Event {
 
   // Moves carry next_ so the node pool keeps its links when it reallocates.
   Event(Event&& o) noexcept
-      : time(o.time), seq(o.seq), tag(o.tag), footprint(o.footprint),
+      : time(o.time), seq(o.seq), tag(o.tag),
         kind_(std::exchange(o.kind_, Kind::kResume)), next_(o.next_),
         ptr_(std::exchange(o.ptr_, nullptr)) {}
 
@@ -79,7 +69,6 @@ class Event {
       time = o.time;
       seq = o.seq;
       tag = o.tag;
-      footprint = o.footprint;
       kind_ = std::exchange(o.kind_, Kind::kResume);
       next_ = o.next_;
       ptr_ = std::exchange(o.ptr_, nullptr);
@@ -92,13 +81,11 @@ class Event {
   ~Event() { reset(); }
 
   static Event make_resume(Cycles time, std::uint64_t seq,
-                           std::coroutine_handle<> h, std::uint16_t tag = 0,
-                           CommitFootprint fp = CommitFootprint::kShared) {
+                           std::coroutine_handle<> h, std::uint16_t tag = 0) {
     Event e;
     e.time = time;
     e.seq = seq;
     e.tag = tag;
-    e.footprint = fp;
     e.ptr_ = h.address();
     return e;
   }
@@ -116,13 +103,11 @@ class Event {
 
   template <typename F>
   static Event make_callback(Cycles time, std::uint64_t seq, F&& f,
-                             std::uint16_t tag = 0,
-                             CommitFootprint fp = CommitFootprint::kShared) {
+                             std::uint16_t tag = 0) {
     Event e;
     e.time = time;
     e.seq = seq;
     e.tag = tag;
-    e.footprint = fp;
     Callback* cb = new Boxed<std::decay_t<F>>(std::forward<F>(f));
     e.ptr_ = cb;
     e.kind_ = Kind::kBoxed;
@@ -155,9 +140,6 @@ class Event {
   /// in the low 12 bits, transaction kind in the high 4. Copied into the
   /// TraceRing record when the event fires; 0 means untagged.
   std::uint16_t tag = 0;
-  /// Declared commit footprint (lives in the padding after `tag`; free).
-  /// Only the partitioned engine's parallel-commit path reads it.
-  CommitFootprint footprint = CommitFootprint::kShared;
 
  private:
   friend class EventQueue;  // threads its bucket lists through next_
@@ -269,13 +251,6 @@ class EventQueue {
   /// individual push_resume calls exactly. All n events share `tag`.
   void push_resume_batch(Cycles time, const std::coroutine_handle<>* hs,
                          std::size_t n, std::uint16_t tag = 0);
-
-  /// Inserts a fully built event carrying a caller-assigned seq, bypassing
-  /// this queue's own counter — the partitioned engine's entry point (one
-  /// global counter spans all partition queues). Bucket-FIFO determinism
-  /// requires same-time events to arrive in ascending seq order; the
-  /// PartitionSet channel merge guarantees that.
-  void push_event(Event&& e) { insert(std::move(e)); }
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }

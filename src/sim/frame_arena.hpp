@@ -7,13 +7,12 @@
 // dominate the engine's time. The arena recycles freed frames by size class,
 // so after warm-up the hot path never touches the global allocator.
 //
-// The arena is thread_local: each engine thread (tests, benches, `ctest -j`
-// processes) gets its own, with zero synchronisation. Blocks are
-// individually ::operator new'd with a self-describing header, so a frame
-// MAY be freed on a different thread than allocated it (parallel-commit
-// workers resume coroutines whose frames the coordinator allocated, and vice
-// versa): the block just joins the freeing thread's free list. Only the
-// per-thread counters and lists are unsynchronised; no memory is shared.
+// The arena is thread_local: each engine thread (sweep workers, tests,
+// benches) gets its own, with zero synchronisation. A cell's engine runs on
+// one thread start to finish, so its frames are allocated and freed there.
+// Blocks are individually ::operator new'd with a self-describing header,
+// so a frame freed on another thread would still just join that thread's
+// free list; only the per-thread counters and lists are unsynchronised.
 #pragma once
 
 #include <cstddef>

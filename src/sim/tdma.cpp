@@ -1,26 +1,8 @@
 #include "src/sim/tdma.hpp"
 
 #include "src/common/nc_assert.hpp"
-#include "src/sim/partition.hpp"
 
 namespace netcache::sim {
-
-namespace {
-
-/// Counts a slot-lease handoff when consecutive transmissions on a channel
-/// come from different partition arcs (no-op on a serial engine).
-void note_handoff(Engine& engine, NodeId& last_tx, NodeId node) {
-  if (node == kNoNode) return;
-  if (PartitionSet* ps = engine.partitions_mut()) {
-    if (last_tx != kNoNode &&
-        ps->partition_of_node(last_tx) != ps->partition_of_node(node)) {
-      ps->note_lease_handoff();
-    }
-    last_tx = node;
-  }
-}
-
-}  // namespace
 
 TdmaChannel::TdmaChannel(Engine& engine, int stations, Cycles slot_cycles)
     : engine_(&engine),
@@ -33,7 +15,6 @@ TdmaChannel::TdmaChannel(Engine& engine, int stations, Cycles slot_cycles)
 
 Cycles TdmaChannel::book_slot(NodeId who) {
   NC_ASSERT(who >= 0 && who < stations_, "TDMA station out of range");
-  note_handoff(*engine_, last_tx_, who);
   Cycles now = engine_->now();
   Cycles earliest = std::max(now, station_free_at_[who]);
   // First slot start >= earliest with (t mod frame) == who * slot.
@@ -53,12 +34,10 @@ VarSlotTdma::VarSlotTdma(Engine& engine, int members, Cycles base_slot_cycles)
   NC_ASSERT(members > 0 && base_slot_cycles > 0, "bad TDMA geometry");
 }
 
-Task<void> VarSlotTdma::transmit(int member_index, Cycles message_cycles,
-                                 NodeId node) {
+Task<void> VarSlotTdma::transmit(int member_index, Cycles message_cycles) {
   NC_ASSERT(member_index >= 0 && member_index < members_,
             "TDMA member out of range");
   NC_ASSERT(message_cycles > 0, "empty transmission");
-  note_handoff(*engine_, last_tx_, node);
   Cycles rotation = static_cast<Cycles>(members_) * base_slot_;
   Cycles now = engine_->now();
   Cycles offset = static_cast<Cycles>(member_index) * base_slot_;

@@ -51,10 +51,6 @@ class TdmaChannel {
   Cycles frame_;
   std::vector<Cycles> station_free_at_;
   Cycles wait_cycles_ = 0;
-  /// Last transmitting station, for the partitioned engine's lease-handoff
-  /// counter (transmissions alternating across partition arcs are the
-  /// contention that keeps the channel books serialized).
-  NodeId last_tx_ = kNoNode;
 };
 
 /// Variable-slot TDMA: stations take turns in a fixed rotation, but a turn
@@ -69,11 +65,7 @@ class VarSlotTdma {
 
   /// Completes when member `member_index` (0-based position within this
   /// channel's station set) has finished transmitting `message_cycles`.
-  /// `node` (when not kNoNode) names the transmitting node for the
-  /// partitioned engine's lease-handoff counter; member_index need not be a
-  /// node id (channels over station subsets renumber their members).
-  Task<void> transmit(int member_index, Cycles message_cycles,
-                      NodeId node = kNoNode);
+  Task<void> transmit(int member_index, Cycles message_cycles);
 
   Cycles wait_cycles() const { return medium_.wait_cycles() + turn_wait_; }
 
@@ -83,7 +75,6 @@ class VarSlotTdma {
   Cycles base_slot_;
   Resource medium_;
   Cycles turn_wait_ = 0;
-  NodeId last_tx_ = kNoNode;  ///< see TdmaChannel::last_tx_
 };
 
 }  // namespace netcache::sim

@@ -66,14 +66,6 @@ FlagParse parse_sweep_flag(const char* arg, SweepFlags* flags,
     flags->jobs = static_cast<int>(n);
     return FlagParse::kConsumed;
   }
-  if (flag_value(arg, "--intra-jobs", &v)) {
-    long n = 0;
-    if (!strict_long(v, &n) || n < 1 || n > 1024) {
-      return bad(error, "--intra-jobs", v, "expected an integer in [1,1024]");
-    }
-    flags->intra_jobs = static_cast<int>(n);
-    return FlagParse::kConsumed;
-  }
   if (flag_value(arg, "--cache", &v)) {
     if (*v == '\0') return bad(error, "--cache", v, "empty directory");
     flags->cache_dir = v;
@@ -107,10 +99,6 @@ int resolved_jobs(const SweepFlags& flags) {
   return flags.jobs > 0 ? flags.jobs : default_jobs();
 }
 
-int resolved_intra_jobs(const SweepFlags& flags) {
-  return flags.intra_jobs > 0 ? flags.intra_jobs : default_intra_jobs();
-}
-
 void apply_cache_flags(const SweepFlags& flags) {
   if (flags.no_cache) {
     disable_shared_cache();
@@ -140,8 +128,6 @@ const char* sweep_flags_help() {
   return
       "  --jobs=N           sweep worker threads (or supervised children)\n"
       "                     for multi-cell runs\n"
-      "  --intra-jobs=T     conservative-PDES threads inside each cell's\n"
-      "                     simulation; results are bit-identical at any T\n"
       "                     (default: NETCACHE_BENCH_JOBS or hardware)\n"
       "  --cache=DIR        persistent sweep result cache: unchanged cells\n"
       "                     are served bit-identically from DIR instead of\n"

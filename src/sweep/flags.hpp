@@ -2,7 +2,7 @@
 //
 // bench_main, netcache_sim, and netcache_sweepd all drive the same sweep
 // machinery (worker pool, result cache, supervised isolation) and used to
-// re-implement the same eight flags with drifting validation. This module is
+// re-implement the same seven flags with drifting validation. This module is
 // the single definition: one parser consuming "--name=value" arguments, one
 // cache-flag precedence rule, one cache-traffic summary line, and one usage
 // block — so the three binaries stay byte-compatible in how a grid is
@@ -16,11 +16,10 @@
 namespace netcache::sweep {
 
 /// The flags every sweep-driving binary shares. Zero-initialized fields mean
-/// "unset — resolve the default lazily" (default_jobs(),
-/// default_intra_jobs(), the NETCACHE_SWEEP_CACHE environment variable).
+/// "unset — resolve the default lazily" (default_jobs(), the
+/// NETCACHE_SWEEP_CACHE environment variable).
 struct SweepFlags {
   int jobs = 0;           // 0 = default_jobs()
-  int intra_jobs = 0;     // 0 = config / NETCACHE_INTRA_JOBS default
   std::string cache_dir;  // empty = NETCACHE_SWEEP_CACHE
   bool no_cache = false;
   IsolationOptions isolation = default_isolation();
@@ -34,17 +33,13 @@ enum class FlagParse {
 };
 
 /// Tries to consume one argument as a shared sweep flag: --jobs=N,
-/// --intra-jobs=T, --cache=DIR, --no-cache, --isolate, --cell-timeout=S,
-/// --cell-retries=N, --forensics=DIR.
+/// --cache=DIR, --no-cache, --isolate, --cell-timeout=S, --cell-retries=N,
+/// --forensics=DIR.
 FlagParse parse_sweep_flag(const char* arg, SweepFlags* flags,
                            std::string* error);
 
 /// Resolved worker count: flags.jobs or default_jobs().
 int resolved_jobs(const SweepFlags& flags);
-
-/// Resolved per-cell PDES thread request (before the hardware composition
-/// cap): flags.intra_jobs or default_intra_jobs().
-int resolved_intra_jobs(const SweepFlags& flags);
 
 /// Applies the cache flags to the process-wide shared cache:
 /// --no-cache beats --cache beats the NETCACHE_SWEEP_CACHE environment

@@ -192,13 +192,10 @@ std::string ResultCache::key_description(const Cell& cell,
   append_u64(&d, "cfg.sequential_prefetch", cfg.sequential_prefetch ? 1 : 0);
   append_u64(&d, "cfg.seed", cfg.seed);
   append_u64(&d, "cfg.verify", cfg.verify ? 1 : 0);
-  // cfg.intra_jobs is deliberately NOT keyed: partitioned execution is
-  // bit-identical to serial (DESIGN.md section 13, enforced by
-  // test_partition), so a result computed at any --intra-jobs must hit for
-  // every other setting. test_result_cache pins this exclusion.
-  // cfg.sharer_tracking is excluded for the same reason: the sharer map is
+  // cfg.sharer_tracking is deliberately NOT keyed: the sharer map is
   // host-side bookkeeping (DESIGN.md section 16, enforced by
   // test_sharer_map), so tracked and untracked runs share one record.
+  // test_result_cache pins this exclusion.
   append_kv(&d, "cfg.faults.spec", cfg.faults.spec);
   append_u64(&d, "cfg.faults.seed", cfg.faults.seed);
   append_u64(&d, "cfg.faults.recovery", cfg.faults.recovery ? 1 : 0);

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <deque>
 #include <filesystem>
@@ -26,7 +27,11 @@ namespace netcache::sweep {
 
 namespace {
 
-volatile std::sig_atomic_t g_stop_signal = 0;
+// Set from a signal handler or by request_stop() on any thread, and read by
+// every sweep worker, so it must be async-signal-safe and race-free; a
+// lock-free atomic is both.
+std::atomic<int> g_stop_signal{0};
+static_assert(std::atomic<int>::is_always_lock_free);
 bool g_handlers_installed = false;
 struct sigaction g_old_int;
 struct sigaction g_old_term;
@@ -56,7 +61,7 @@ void remove_stop_handlers() {
 }
 
 bool stop_requested() { return g_stop_signal != 0; }
-int stop_signal() { return static_cast<int>(g_stop_signal); }
+int stop_signal() { return g_stop_signal; }
 void request_stop(int sig) { g_stop_signal = sig; }
 void clear_stop() { g_stop_signal = 0; }
 
@@ -273,9 +278,9 @@ static std::string stderr_capture_path(std::size_t cell, int attempt) {
   return buf;
 }
 
-bool spawn_cell_child(const Cell& cell, int jobs, std::size_t index,
-                      int attempt, const std::vector<int>& close_in_child,
-                      ChildProc* out, std::string* error) {
+bool spawn_cell_child(const Cell& cell, std::size_t index, int attempt,
+                      const std::vector<int>& close_in_child, ChildProc* out,
+                      std::string* error) {
   int fds[2];
   if (::pipe(fds) != 0) {
     if (error != nullptr) *error = "supervisor: pipe() failed";
@@ -303,15 +308,7 @@ bool spawn_cell_child(const Cell& cell, int jobs, std::size_t index,
       ::dup2(err_fd, 2);
       ::close(err_fd);
     }
-    // Recompute the jobs x intra-jobs cap in the child: this process tree
-    // runs up to `jobs` children at once, each of which would otherwise
-    // re-read the uncapped NETCACHE_INTRA_JOBS through Machine's
-    // environment fallback and oversubscribe the host. The capped value is
-    // baked into the cell and the variable dropped so it cannot re-apply.
-    Cell child_cell = cell;
-    child_cell.intra_jobs = effective_child_intra_jobs(jobs, child_cell);
-    ::unsetenv("NETCACHE_INTRA_JOBS");
-    run_cell_entrypoint(child_cell, fds[1]);
+    run_cell_entrypoint(cell, fds[1]);
   }
   // Parent.
   ::close(fds[1]);
@@ -356,7 +353,7 @@ std::vector<CellResult> run_supervised(const std::vector<Cell>& cells,
     for (const Attempt& a : active) close_in_child.push_back(a.fd);
     ChildProc child;
     std::string spawn_error;
-    if (!spawn_cell_child(cells[cell_index], jobs, cell_index, attempt_number,
+    if (!spawn_cell_child(cells[cell_index], cell_index, attempt_number,
                           close_in_child, &child, &spawn_error)) {
       results[cell_index].ok = false;
       results[cell_index].error = spawn_error;

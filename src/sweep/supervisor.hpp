@@ -90,15 +90,13 @@ struct ChildProc {
 };
 
 /// Forks a child running `cell` (via the run_cell entrypoint) and fills
-/// `out`. `jobs` is the supervisor's concurrent-children count (the child
-/// recomputes its jobs x intra-jobs cap from it); `index`/`attempt` only
-/// name the stderr capture file. `close_in_child` lists parent fds the child
-/// must not inherit holding open (other result pipes, listening sockets,
-/// client connections). Returns false (with *error set) when pipe() or
-/// fork() fails.
-bool spawn_cell_child(const Cell& cell, int jobs, std::size_t index,
-                      int attempt, const std::vector<int>& close_in_child,
-                      ChildProc* out, std::string* error);
+/// `out`. `index`/`attempt` only name the stderr capture file.
+/// `close_in_child` lists parent fds the child must not inherit holding open
+/// (other result pipes, listening sockets, client connections). Returns
+/// false (with *error set) when pipe() or fork() fails.
+bool spawn_cell_child(const Cell& cell, std::size_t index, int attempt,
+                      const std::vector<int>& close_in_child, ChildProc* out,
+                      std::string* error);
 
 /// Decodes one complete child result frame. False on a partial or garbled
 /// buffer — a process-level failure of the attempt.

@@ -38,9 +38,6 @@ CellResult run_cell(const Cell& cell, ResultCache* cache) {
     cfg.nodes = cell.nodes;
     cfg.system = cell.system;
     if (cell.tweak) cell.tweak(cfg);
-    // Applied after tweak: intra_jobs is an execution knob, not a machine
-    // parameter — it never reaches the cache key and cannot change results.
-    if (cell.intra_jobs > 0) cfg.intra_jobs = cell.intra_jobs;
     core::Machine machine(cfg);
     std::unique_ptr<apps::Workload> workload;
     if (cell.make_workload) {
@@ -73,32 +70,6 @@ int default_jobs() {
   }
   unsigned hw = std::thread::hardware_concurrency();
   return hw >= 1 ? static_cast<int>(hw) : 1;
-}
-
-int default_intra_jobs() {
-  if (const char* env = std::getenv("NETCACHE_INTRA_JOBS")) {
-    char* end = nullptr;
-    long n = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && n >= 1 && n <= 1024) {
-      return static_cast<int>(n);
-    }
-  }
-  return 1;
-}
-
-int compose_intra_jobs(int jobs, int intra) {
-  if (intra <= 1) return 1;
-  if (jobs < 1) jobs = 1;
-  unsigned hw = std::thread::hardware_concurrency();
-  int budget = static_cast<int>(hw >= 1 ? hw : 1) / jobs;
-  if (budget < 1) budget = 1;
-  return std::min(intra, budget);
-}
-
-int effective_child_intra_jobs(int jobs, const Cell& cell) {
-  const int requested =
-      cell.intra_jobs > 0 ? cell.intra_jobs : default_intra_jobs();
-  return compose_intra_jobs(jobs, requested);
 }
 
 namespace {
@@ -203,18 +174,6 @@ std::size_t SweepDriver::cache_hits() const {
 const std::vector<CellResult>& SweepDriver::run() {
   NC_ASSERT(!ran_, "SweepDriver runs exactly once");
   ran_ = true;
-  if (intra_jobs_ > 0) {
-    // Isolated mode defers the jobs x intra cap to the forked children
-    // (effective_child_intra_jobs): the request is propagated uncapped here
-    // so a cell that runs alone on a retry tail is not stuck with a cap
-    // computed for a full parent-side pool.
-    const int intra = isolation_.enabled
-                          ? intra_jobs_
-                          : compose_intra_jobs(jobs_, intra_jobs_);
-    for (Cell& cell : cells_) {
-      if (cell.intra_jobs == 0) cell.intra_jobs = intra;
-    }
-  }
   ResultCache* cache = cache_overridden_ ? explicit_cache_ : shared_cache();
   if (isolation_.enabled) {
     results_ = run_supervised(cells_, jobs_, isolation_, cache);

@@ -50,12 +50,6 @@ struct Cell {
   /// the worker thread that executes the cell).
   std::function<std::unique_ptr<apps::Workload>()> make_workload;
 
-  /// Conservative-PDES threads inside this cell's simulation (> 0 overrides
-  /// MachineConfig::intra_jobs after `tweak` runs; 0 inherits the config /
-  /// NETCACHE_INTRA_JOBS default). Never part of the result-cache key:
-  /// results are bit-identical at any setting.
-  int intra_jobs = 0;
-
   /// "app/system" label for progress and error messages.
   std::string label() const;
 };
@@ -135,25 +129,6 @@ CellResult run_cell(const Cell& cell, ResultCache* cache);
 /// otherwise std::thread::hardware_concurrency() (at least 1).
 int default_jobs();
 
-/// Default per-cell PDES thread count: NETCACHE_INTRA_JOBS if set to an
-/// integer in [1, 1024], otherwise 1 (serial cells).
-int default_intra_jobs();
-
-/// Composition rule for --jobs x --intra-jobs: caps `intra` so that
-/// jobs * intra never exceeds hardware_concurrency() (at least 1 — a
-/// saturated worker pool gains nothing from oversubscribed intra threads,
-/// it only pays barrier overhead). Returns the capped value, >= 1.
-int compose_intra_jobs(int jobs, int intra);
-
-/// The intra-jobs value one supervised (forked) child should run with: the
-/// cell's explicit request, falling back to the NETCACHE_INTRA_JOBS default,
-/// capped by compose_intra_jobs against the supervisor's child-slot count.
-/// Computed in the child, not the parent, so the cap reflects the process
-/// tree actually running: the parent-side cap cannot see that each child is
-/// its own process whose Machine would otherwise re-read the uncapped
-/// environment value.
-int effective_child_intra_jobs(int jobs, const Cell& cell);
-
 /// Runs `tasks` (independent closures) across `jobs` worker threads with
 /// dynamic work stealing; blocks until every task has run. jobs <= 1 runs
 /// them in submission order on the calling thread. Each task executes on
@@ -173,12 +148,6 @@ class SweepDriver {
 
   std::size_t size() const { return cells_.size(); }
   int jobs() const { return jobs_; }
-
-  /// Requests `intra` PDES threads for every submitted cell that has not set
-  /// its own Cell::intra_jobs. Applied at run() through compose_intra_jobs
-  /// (jobs x intra capped at the hardware). <= 0 resets to "inherit".
-  void set_intra_jobs(int intra) { intra_jobs_ = intra < 0 ? 0 : intra; }
-  int intra_jobs() const { return intra_jobs_; }
 
   /// Selects the execution mode for run(). Defaults to default_isolation()
   /// (NETCACHE_SWEEP_ISOLATE & friends); call before run() to override.
@@ -208,7 +177,6 @@ class SweepDriver {
 
  private:
   int jobs_;
-  int intra_jobs_ = 0;  // 0 = cells inherit config/env defaults
   bool ran_ = false;
   IsolationOptions isolation_;
   ResultCache* explicit_cache_ = nullptr;

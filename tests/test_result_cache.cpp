@@ -160,45 +160,34 @@ TEST_F(ResultCacheTest, EverySingleFieldChangeChangesTheKey) {
   }
 }
 
-// The one deliberate exclusion: intra_jobs is an execution knob with a
-// bit-identity guarantee (test_partition enforces it), so it must NOT be
-// part of the key — a cell warmed at intra_jobs=1 hits at intra_jobs=4 and
-// returns the stored bytes unchanged.
-TEST_F(ResultCacheTest, IntraJobsIsExcludedFromTheKey) {
+// The one deliberate exclusion: sharer_tracking is an execution knob with a
+// bit-identity guarantee (test_sharer_map enforces it), so it must NOT be
+// part of the key — a cell warmed with tracking on hits with tracking off
+// and returns the stored bytes unchanged.
+TEST_F(ResultCacheTest, SharerTrackingIsExcludedFromTheKey) {
   sweep::ResultCache cache(dir());
 
-  sweep::Cell serial = fast_cell();
-  serial.intra_jobs = 1;
-  sweep::Cell parallel = fast_cell();
-  parallel.intra_jobs = 4;
-  sweep::Cell tweaked = fast_cell();
-  tweaked.tweak = [](MachineConfig& cfg) { cfg.intra_jobs = 4; };
+  const sweep::Cell tracked = fast_cell();
+  sweep::Cell untracked = fast_cell();
+  untracked.tweak = [](MachineConfig& cfg) { cfg.sharer_tracking = false; };
 
-  const std::string key = cache.key_for(serial);
+  const std::string key = cache.key_for(tracked);
   ASSERT_EQ(key.size(), 32u);
-  EXPECT_EQ(cache.key_for(parallel), key);
-  EXPECT_EQ(cache.key_for(fast_cell()), key);
-  EXPECT_EQ(cache.key_for(tweaked), key);
+  EXPECT_EQ(cache.key_for(untracked), key);
 
-  // Warm the cache with the serial run, then hit with the parallel cell:
+  // Warm the cache with the tracked run, then hit with the untracked cell:
   // byte-identical summary, no second simulation.
-  sweep::CellResult cold = sweep::run_cell(serial, &cache);
+  sweep::CellResult cold = sweep::run_cell(tracked, &cache);
   ASSERT_TRUE(cold.ok) << cold.error;
   ASSERT_TRUE(cold.summary.verified);
   ASSERT_FALSE(cold.from_cache);
   ASSERT_EQ(cache.stats().stores, 1u);
 
-  sweep::CellResult warm = sweep::run_cell(parallel, &cache);
+  sweep::CellResult warm = sweep::run_cell(untracked, &cache);
   ASSERT_TRUE(warm.ok) << warm.error;
   EXPECT_TRUE(warm.from_cache);
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(core::serialize_summary(warm.summary),
-            core::serialize_summary(cold.summary));
-
-  sweep::CellResult warm_tweaked = sweep::run_cell(tweaked, &cache);
-  ASSERT_TRUE(warm_tweaked.ok) << warm_tweaked.error;
-  EXPECT_TRUE(warm_tweaked.from_cache);
-  EXPECT_EQ(core::serialize_summary(warm_tweaked.summary),
             core::serialize_summary(cold.summary));
 }
 

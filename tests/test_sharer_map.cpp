@@ -1,8 +1,8 @@
 // Sharer-map tests (src/core/sharer_map.hpp, DESIGN.md section 16): the
 // O(sharers) snoop-delivery fast path must be invisible — results stay
 // bit-identical to the NETCACHE_SHARER_TRACKING=0 full scan across systems,
-// apps, fault injection, and intra-jobs thread counts — while the SnoopStats
-// counters account for every probe taken or avoided.
+// apps and fault injection — while the SnoopStats counters account for every
+// probe taken or avoided.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -23,11 +23,10 @@ using core::Machine;
 using core::RunSummary;
 using core::SharerMap;
 
-// This binary compares tracked against untracked and serial against
-// partitioned runs, so neither environment opt-in may leak in from the CI
-// job; the kill-switch test sets and restores its own value.
+// This binary compares tracked against untracked runs, so the kill switch
+// may not leak in from the environment; the kill-switch test sets and
+// restores its own value.
 const bool g_env_cleared = [] {
-  unsetenv("NETCACHE_INTRA_JOBS");
   unsetenv("NETCACHE_SHARER_TRACKING");
   return true;
 }();
@@ -47,7 +46,6 @@ std::string canonical(RunSummary s) {
 struct RunOpts {
   SystemKind system = SystemKind::kNetCache;
   int nodes = 16;
-  int intra_jobs = 1;
   bool tracking = true;
   bool verify = false;
   double scale = 0.1;
@@ -58,7 +56,6 @@ RunSummary run_app(const std::string& app, const RunOpts& opts) {
   MachineConfig cfg;
   cfg.nodes = opts.nodes;
   cfg.system = opts.system;
-  cfg.intra_jobs = opts.intra_jobs;
   cfg.sharer_tracking = opts.tracking;
   cfg.verify = opts.verify;
   if (!opts.faults.empty()) cfg.faults.spec = opts.faults;
@@ -71,11 +68,10 @@ RunSummary run_app(const std::string& app, const RunOpts& opts) {
 
 // --- SharerMap unit behavior ---------------------------------------------
 
-TEST(SharerMapUnit, SnapshotMergesShardsInAscendingNodeOrder) {
-  // 70 nodes forces a two-word bitmap; 4 shards exercise the merge.
-  SharerMap map(70, 4, 16);
+TEST(SharerMapUnit, SnapshotListsSharersInAscendingNodeOrder) {
+  // 70 nodes forces a two-word bitmap.
+  SharerMap map(70, 16);
   EXPECT_EQ(map.nodes(), 70);
-  EXPECT_EQ(map.shards(), 4);
   const Addr block = 0x1000;
   for (NodeId n : {69, 0, 64, 3, 17, 35}) {
     map.set_resident(block, n, true);
@@ -88,13 +84,13 @@ TEST(SharerMapUnit, SnapshotMergesShardsInAscendingNodeOrder) {
 }
 
 TEST(SharerMapUnit, ClearingLastSharerRecyclesTheEntry) {
-  SharerMap map(8, 2, 4);
+  SharerMap map(8, 4);
   const Addr a = 0x40;
   const Addr b = 0x80;
   map.set_resident(a, 2, true);
   map.set_resident(a, 3, true);
   map.set_resident(b, 2, true);
-  EXPECT_EQ(map.peak_blocks(), 2u);  // both blocks live in node 2/3's shard
+  EXPECT_EQ(map.peak_blocks(), 2u);
   map.set_resident(a, 2, false);
   EXPECT_TRUE(map.contains(a, 3));
   map.set_resident(a, 3, false);
@@ -106,7 +102,7 @@ TEST(SharerMapUnit, ClearingLastSharerRecyclesTheEntry) {
 }
 
 TEST(SharerMapUnit, RedundantTransitionsAreIdempotent) {
-  SharerMap map(4, 1, 4);
+  SharerMap map(4, 4);
   const Addr block = 0x200;
   map.set_resident(block, 1, true);
   map.set_resident(block, 1, true);  // refresh: still one sharer
@@ -182,20 +178,15 @@ TEST(SharerIdentity, EverySystemTrackedVsUntracked) {
   }
 }
 
-TEST(SharerIdentity, UpdateHeavyAppsAcrossIntraJobs) {
-  // gauss broadcasts heavily, water is finer-grained; both at serial and
-  // 4-way partitioned commit (shard-per-partition path).
+TEST(SharerIdentity, UpdateHeavyApps) {
+  // gauss broadcasts heavily, water is finer-grained.
   for (const char* app : {"gauss", "water", "cg"}) {
-    for (int intra : {1, 4}) {
-      RunOpts on;
-      on.intra_jobs = intra;
-      RunOpts off = on;
-      off.tracking = false;
-      RunSummary tracked = run_app(app, on);
-      RunSummary scanned = run_app(app, off);
-      EXPECT_EQ(canonical(tracked), canonical(scanned))
-          << app << " diverged at intra_jobs=" << intra;
-    }
+    RunOpts on;
+    RunOpts off = on;
+    off.tracking = false;
+    RunSummary tracked = run_app(app, on);
+    RunSummary scanned = run_app(app, off);
+    EXPECT_EQ(canonical(tracked), canonical(scanned)) << app << " diverged";
   }
 }
 
@@ -213,20 +204,16 @@ TEST(SharerIdentity, FaultVictimSelectionMatchesFullScan) {
       {SystemKind::kDmonInvalidate, "drop-invalidate:2"},
   };
   for (const Case& c : cases) {
-    for (int intra : {1, 4}) {
-      RunOpts on;
-      on.system = c.system;
-      on.faults = c.spec;
-      on.intra_jobs = intra;
-      RunOpts off = on;
-      off.tracking = false;
-      RunSummary tracked = run_app("gauss", on);
-      RunSummary scanned = run_app("gauss", off);
-      EXPECT_GT(tracked.faults.injected, 0u) << c.spec;
-      EXPECT_EQ(canonical(tracked), canonical(scanned))
-          << tracked.system << " faulted run (" << c.spec
-          << ") diverged at intra_jobs=" << intra;
-    }
+    RunOpts on;
+    on.system = c.system;
+    on.faults = c.spec;
+    RunOpts off = on;
+    off.tracking = false;
+    RunSummary tracked = run_app("gauss", on);
+    RunSummary scanned = run_app("gauss", off);
+    EXPECT_GT(tracked.faults.injected, 0u) << c.spec;
+    EXPECT_EQ(canonical(tracked), canonical(scanned))
+        << tracked.system << " faulted run (" << c.spec << ") diverged";
   }
 }
 
