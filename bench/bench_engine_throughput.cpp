@@ -21,7 +21,8 @@
 // the event-core perf trajectory is tracked PR over PR: each workload's
 // aggregate rate plus the spread of its per-iteration rates, against two
 // recorded references — the pre-rewrite std::function + std::priority_queue
-// core, and the core that ran every leaf access as its own coroutine.
+// core, and the core before the event record and the per-access host
+// structures were flattened.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -94,15 +95,16 @@ constexpr double kBaselinePureDelayEps = 6.24e6;
 constexpr double kBaselineResourceEps = 14.5e6;
 constexpr double kBaselineFullAppEps = 4.04e6;
 
-// Reference numbers for the core this one replaced: the same 32-byte pooled
-// event queue, but every leaf access (CPU read/write/compute, array rd/wr,
-// Resource::use, TDMA slot) its own coroutine frame. Median of 5 runs of
-// this bench built from that commit, alternated with runs of the frame-less
-// core, on a 4-thread Intel Xeon host (--benchmark_min_time=2).
-constexpr double kPreOpPureDelayEps = 16.78e6;
-constexpr double kPreOpResourceEps = 18.20e6;
-constexpr double kPreOpFullAppEps = 9.68e6;
-constexpr double kPreOpFullAppFramesPerEvent = 1.442;
+// Reference numbers for the core this one replaced: the same frame-less leaf
+// awaits, but a move-only event record whose every pool move ran
+// out-of-line queue code, 24-byte cache lines, a hash-map sharer directory
+// and a deque write buffer. Median of 5 runs of this bench built from that
+// commit, alternated with runs of the flat core, on a 4-thread Intel Xeon
+// host (--benchmark_min_time=2).
+constexpr double kPreFlatPureDelayEps = 18.28e6;
+constexpr double kPreFlatResourceEps = 21.72e6;
+constexpr double kPreFlatFullAppEps = 11.87e6;
+constexpr double kPreFlatFullAppFramesPerEvent = 0.2178;
 
 // Watchdog guard for every bench run: budgets far above anything a healthy
 // workload needs, so a regression that deadlocks or livelocks the engine
@@ -117,11 +119,12 @@ sim::RunLimits bench_limits() {
 // How the numbers were taken. Recorded into BENCH_engine.json.
 constexpr const char* kMeasurementNote =
     "events_per_sec is the aggregate over every benchmark iteration; "
-    "min/median/max are per-iteration rates. pre_op_events_per_sec (and "
-    "full_app's pre_op_frames_per_event) is the median of 5 runs of the core "
-    "that ran every leaf access as its own coroutine frame, alternated with "
-    "runs of this core on the same host. frames_per_event counts FrameArena "
-    "allocations (fresh + reused) per executed event";
+    "min/median/max are per-iteration rates. pre_flat_events_per_sec (and "
+    "full_app's pre_flat_frames_per_event) is the median of 5 runs of the "
+    "core before the event record, cache tags, sharer map and write buffer "
+    "were flattened, alternated with runs of this core on the same host. "
+    "frames_per_event counts FrameArena allocations (fresh + reused) per "
+    "executed event";
 
 Measurement g_pure_delay;
 Measurement g_resource;
@@ -247,9 +250,9 @@ void write_json(const char* path) {
     std::fprintf(stderr, "bench_engine_throughput: cannot write %s\n", path);
     return;
   }
-  // `pre_op_fpe` < 0: the workload does not record frames per event.
+  // `pre_flat_fpe` < 0: the workload does not record frames per event.
   auto emit = [&](const char* name, const Measurement& m, double baseline_eps,
-                  double pre_op_eps, double pre_op_fpe,
+                  double pre_flat_eps, double pre_flat_fpe,
                   const char* trailing_comma) {
     const double eps = m.events_per_sec();
     std::fprintf(f,
@@ -261,18 +264,18 @@ void write_json(const char* path) {
                  name, static_cast<unsigned long long>(m.events), m.seconds,
                  m.rates.size(), eps, m.rate_quantile(0.0),
                  m.rate_quantile(0.5), m.rate_quantile(1.0));
-    if (pre_op_fpe >= 0) {
+    if (pre_flat_fpe >= 0) {
       std::fprintf(f,
                    "\"frames_per_event\": %.4f, "
-                   "\"pre_op_frames_per_event\": %.4f, ",
-                   m.frames_per_event(), pre_op_fpe);
+                   "\"pre_flat_frames_per_event\": %.4f, ",
+                   m.frames_per_event(), pre_flat_fpe);
     }
     std::fprintf(f,
-                 "\"pre_op_events_per_sec\": %.4g, "
-                 "\"speedup_vs_pre_op\": %.2f, "
+                 "\"pre_flat_events_per_sec\": %.4g, "
+                 "\"speedup_vs_pre_flat\": %.2f, "
                  "\"baseline_events_per_sec\": %.4g, "
                  "\"speedup_vs_baseline\": %.2f}%s\n",
-                 pre_op_eps, pre_op_eps > 0 ? eps / pre_op_eps : 0.0,
+                 pre_flat_eps, pre_flat_eps > 0 ? eps / pre_flat_eps : 0.0,
                  baseline_eps, baseline_eps > 0 ? eps / baseline_eps : 0.0,
                  trailing_comma);
   };
@@ -305,12 +308,12 @@ void write_json(const char* path) {
   emit_occ("wf", g_wf_occ, "");
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"workloads\": {\n");
-  emit("pure_delay", g_pure_delay, kBaselinePureDelayEps, kPreOpPureDelayEps,
-       -1, ",");
+  emit("pure_delay", g_pure_delay, kBaselinePureDelayEps,
+       kPreFlatPureDelayEps, -1, ",");
   emit("resource_contention", g_resource, kBaselineResourceEps,
-       kPreOpResourceEps, -1, ",");
-  emit("full_app", g_full_app, kBaselineFullAppEps, kPreOpFullAppEps,
-       kPreOpFullAppFramesPerEvent, "");
+       kPreFlatResourceEps, -1, ",");
+  emit("full_app", g_full_app, kBaselineFullAppEps, kPreFlatFullAppEps,
+       kPreFlatFullAppFramesPerEvent, "");
   std::fprintf(f, "  }\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", path);
@@ -319,19 +322,20 @@ void write_json(const char* path) {
 void print_summary() {
   std::printf("\n== engine event-core throughput (events/sec) ==\n");
   auto line = [](const char* name, const Measurement& m, double base,
-                 double pre_op) {
+                 double pre_flat) {
     const double eps = m.events_per_sec();
-    std::printf("%-20s %12.3g ev/s  (pre-op %9.3g, %.2fx; baseline %9.3g, "
+    std::printf("%-20s %12.3g ev/s  (pre-flat %9.3g, %.2fx; baseline %9.3g, "
                 "%.2fx)\n",
-                name, eps, pre_op, pre_op > 0 ? eps / pre_op : 0.0, base,
+                name, eps, pre_flat, pre_flat > 0 ? eps / pre_flat : 0.0, base,
                 base > 0 ? eps / base : 0.0);
   };
-  line("pure_delay", g_pure_delay, kBaselinePureDelayEps, kPreOpPureDelayEps);
+  line("pure_delay", g_pure_delay, kBaselinePureDelayEps,
+       kPreFlatPureDelayEps);
   line("resource_contention", g_resource, kBaselineResourceEps,
-       kPreOpResourceEps);
-  line("full_app", g_full_app, kBaselineFullAppEps, kPreOpFullAppEps);
-  std::printf("%-20s %12.3f frames/event  (pre-op %.3f)\n", "full_app",
-              g_full_app.frames_per_event(), kPreOpFullAppFramesPerEvent);
+       kPreFlatResourceEps);
+  line("full_app", g_full_app, kBaselineFullAppEps, kPreFlatFullAppEps);
+  std::printf("%-20s %12.3f frames/event  (pre-flat %.3f)\n", "full_app",
+              g_full_app.frames_per_event(), kPreFlatFullAppFramesPerEvent);
   std::printf("\n== timing-wheel occupancy (EventQueue::stats()) ==\n");
   auto occ_line = [](const char* name, const Occupancy& o) {
     std::printf("%-20s wheel %12llu  overflow %8llu  (%.3f%% overflow)\n",

@@ -72,7 +72,7 @@ void usage() {
       "  --trace=FILE       replay a memory-reference trace instead\n"
       "  --system=S         comma list or 'all'; netcache | netcache-noring"
       " | lambdanet | dmon-u | dmon-i\n"
-      "  --nodes=N          machine width (default 16)\n"
+      "  --nodes=N          machine width, 1..256 (default 16)\n"
       "  --scale=X          workload scale factor (default 1.0)\n"
       "  --paper-size       use the paper's Table 4 inputs\n"
       "  --l2-kb=K          2nd-level cache size (default 16)\n"

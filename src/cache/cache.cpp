@@ -8,104 +8,87 @@ namespace netcache::cache {
 
 Cache::Cache(const CacheConfig& config)
     : config_(config),
-      sets_(config.sets()),
       block_shift_(std::countr_zero(
           static_cast<std::uint64_t>(config.block_bytes))),
-      lines_(static_cast<std::size_t>(sets_) * config.associativity) {
+      set_mask_(static_cast<Addr>(config.sets()) - 1),
+      ways_(static_cast<std::size_t>(config.associativity)),
+      lines_(static_cast<std::size_t>(config.sets()) * ways_, 0) {
   // Config::validate rejects these too, but direct Cache users bypass it.
   NC_ASSERT(is_pow2(static_cast<std::uint64_t>(config.block_bytes)),
             "block size must be a power of two");
-  NC_ASSERT(sets_ > 0, "cache must have at least one set");
-  NC_ASSERT(is_pow2(static_cast<std::uint64_t>(sets_)),
+  NC_ASSERT(config.sets() > 0, "cache must have at least one set");
+  NC_ASSERT(is_pow2(static_cast<std::uint64_t>(config.sets())),
             "set count must be a power of two");
+  if (ways_ > 1) stamps_.assign(lines_.size(), 0);
 }
-
-std::size_t Cache::set_index(Addr addr) const {
-  return static_cast<std::size_t>((addr >> block_shift_) &
-                                  static_cast<Addr>(sets_ - 1));
-}
-
-Cache::Line* Cache::find(Addr addr) {
-  Addr base = block_base(addr, config_.block_bytes);
-  std::size_t s = set_index(addr);
-  for (int w = 0; w < config_.associativity; ++w) {
-    Line& line = lines_[s * config_.associativity + w];
-    if (line.state != LineState::kInvalid && line.tag == base) return &line;
-  }
-  return nullptr;
-}
-
-const Cache::Line* Cache::find(Addr addr) const {
-  return const_cast<Cache*>(this)->find(addr);
-}
-
-bool Cache::probe(Addr addr, Cycles now) {
-  if (Line* line = find(addr)) {
-    line->last_use = now;
-    return true;
-  }
-  return false;
-}
-
-bool Cache::contains(Addr addr) const { return find(addr) != nullptr; }
 
 LineState Cache::state(Addr addr) const {
-  const Line* line = find(addr);
-  return line ? line->state : LineState::kInvalid;
+  const std::uint64_t* line = const_cast<Cache*>(this)->find(addr);
+  return line ? state_of(*line) : LineState::kInvalid;
 }
 
 void Cache::set_state(Addr addr, LineState s) {
   // State changes of a present line never change residency; demoting a line
   // to kInvalid must go through invalidate() so the residency hook fires.
   NC_ASSERT(s != LineState::kInvalid, "set_state(kInvalid): use invalidate()");
-  if (Line* line = find(addr)) line->state = s;
+  if (std::uint64_t* line = find(addr)) {
+    *line = (*line & ~kStateMask) | static_cast<std::uint64_t>(s);
+  }
 }
 
 std::optional<Eviction> Cache::insert(Addr addr, LineState state,
                                       Cycles now) {
   NC_ASSERT(state != LineState::kInvalid, "inserting an invalid line");
-  if (Line* line = find(addr)) {  // refresh in place
-    line->state = state;
-    line->last_use = now;
+  const std::uint64_t word = ((addr >> block_shift_) << kStateBits) |
+                            static_cast<std::uint64_t>(state);
+  if (std::uint64_t* line = find(addr)) {  // refresh in place
+    *line = word;
+    if (!stamps_.empty()) stamps_[slot(line)] = now;
     return std::nullopt;
   }
-  std::size_t s = set_index(addr);
-  Line* victim = nullptr;
-  for (int w = 0; w < config_.associativity; ++w) {
-    Line& line = lines_[s * config_.associativity + w];
-    if (line.state == LineState::kInvalid) {
-      victim = &line;
-      break;
+  std::uint64_t* set = set_of(addr >> block_shift_);
+  // Victim: the first invalid way, else the least recently used one (ties
+  // go to the lowest way).
+  std::size_t victim = 0;
+  if (ways_ > 1) {
+    const Cycles* stamp = &stamps_[slot(set)];
+    for (std::size_t w = 0; w < ways_; ++w) {
+      if (state_of(set[w]) == LineState::kInvalid) {
+        victim = w;
+        break;
+      }
+      if (stamp[w] < stamp[victim]) victim = w;
     }
-    if (!victim || line.last_use < victim->last_use) victim = &line;
+    stamps_[slot(set) + victim] = now;
   }
   std::optional<Eviction> evicted;
-  if (victim->state != LineState::kInvalid) {
-    evicted = Eviction{victim->tag, victim->state};
+  const std::uint64_t old = set[victim];
+  if (state_of(old) != LineState::kInvalid) {
+    evicted = Eviction{base_of(old), state_of(old)};
     ++evictions_;
-    notify_residency(victim->tag, false);
+    notify_residency(base_of(old), false);
   }
-  victim->tag = block_base(addr, config_.block_bytes);
-  victim->state = state;
-  victim->last_use = now;
-  notify_residency(victim->tag, true);
+  set[victim] = word;
+  notify_residency(base_of(word), true);
   return evicted;
 }
 
 LineState Cache::invalidate(Addr addr) {
-  if (Line* line = find(addr)) {
-    LineState prev = line->state;
-    line->state = LineState::kInvalid;
-    notify_residency(line->tag, false);
+  if (std::uint64_t* line = find(addr)) {
+    const LineState prev = state_of(*line);
+    *line &= ~kStateMask;
+    notify_residency(base_of(*line), false);
     return prev;
   }
   return LineState::kInvalid;
 }
 
 void Cache::clear() {
-  for (Line& line : lines_) {
-    if (line.state != LineState::kInvalid) notify_residency(line.tag, false);
-    line.state = LineState::kInvalid;
+  for (std::uint64_t& line : lines_) {
+    if (state_of(line) != LineState::kInvalid) {
+      notify_residency(base_of(line), false);
+    }
+    line &= ~kStateMask;
   }
 }
 

@@ -1,5 +1,11 @@
 // Tag-only set-associative cache model (the simulator splits functional data
 // from timing state; caches track presence and coherence state, not bytes).
+//
+// Each line is one 64-bit word, (block_number << 3) | state, so a probe
+// reads one word per way. Block numbers are shifted, not masked, so blocks
+// of any power-of-two size (1 byte up) keep distinct tags. LRU stamps live
+// in a separate vector that exists only when associativity > 1: the
+// paper's direct-mapped L1 and L2 never read or write one.
 #pragma once
 
 #include <cstdint>
@@ -49,10 +55,17 @@ class Cache {
   }
 
   /// True (and LRU-touched) if the block containing `addr` is present.
-  bool probe(Addr addr, Cycles now);
+  bool probe(Addr addr, Cycles now) {
+    std::uint64_t* line = find(addr);
+    if (line == nullptr) return false;
+    if (!stamps_.empty()) stamps_[slot(line)] = now;
+    return true;
+  }
 
   /// Presence check without touching replacement state.
-  bool contains(Addr addr) const;
+  bool contains(Addr addr) const {
+    return const_cast<Cache*>(this)->find(addr) != nullptr;
+  }
 
   /// Current state of the line holding `addr` (kInvalid if absent).
   LineState state(Addr addr) const;
@@ -74,15 +87,41 @@ class Cache {
   std::uint64_t evictions() const { return evictions_; }
 
  private:
-  struct Line {
-    Addr tag = 0;  // block base address
-    LineState state = LineState::kInvalid;
-    Cycles last_use = 0;
-  };
+  /// Low bits of a line word: the LineState (kInvalid is 0).
+  static constexpr int kStateBits = 3;
+  static constexpr std::uint64_t kStateMask = (1u << kStateBits) - 1;
+  static_assert(static_cast<std::uint64_t>(LineState::kExclusive) <=
+                kStateMask);
 
-  std::size_t set_index(Addr addr) const;
-  Line* find(Addr addr);
-  const Line* find(Addr addr) const;
+  static LineState state_of(std::uint64_t line) {
+    return static_cast<LineState>(line & kStateMask);
+  }
+  Addr base_of(std::uint64_t line) const {
+    return (line >> kStateBits) << block_shift_;
+  }
+
+  std::size_t slot(const std::uint64_t* line) const {
+    return static_cast<std::size_t>(line - lines_.data());
+  }
+
+  /// First line word of the set that holds block number `block`.
+  std::uint64_t* set_of(Addr block) {
+    return &lines_[static_cast<std::size_t>(block & set_mask_) * ways_];
+  }
+
+  /// The line word holding `addr`'s block, or null if absent.
+  std::uint64_t* find(Addr addr) {
+    const Addr block = addr >> block_shift_;
+    const std::uint64_t key = block << kStateBits;
+    std::uint64_t* set = set_of(block);
+    for (std::size_t w = 0; w < ways_; ++w) {
+      const std::uint64_t line = set[w];
+      if ((line & ~kStateMask) == key && (line & kStateMask) != 0) {
+        return &set[w];
+      }
+    }
+    return nullptr;
+  }
 
   void notify_residency(Addr base, bool resident) {
     if (residency_hook_ != nullptr) {
@@ -91,9 +130,12 @@ class Cache {
   }
 
   CacheConfig config_;
-  int sets_;
-  int block_shift_;  // log2(block_bytes): set_index shifts, never divides
-  std::vector<Line> lines_;  // sets_ x associativity, row-major
+  int block_shift_;  // log2(block_bytes): tags and sets shift, never divide
+  Addr set_mask_;    // sets - 1
+  std::size_t ways_;
+  std::vector<std::uint64_t> lines_;  // sets x ways line words, row-major
+  /// Last-use stamp per line, parallel to lines_; empty when ways_ == 1.
+  std::vector<Cycles> stamps_;
   std::uint64_t evictions_ = 0;
   ResidencyHook residency_hook_ = nullptr;
   void* residency_ctx_ = nullptr;

@@ -13,29 +13,32 @@ bool WriteBuffer::add(Addr addr, int bytes, bool is_private) {
   for (int w = 0; w < words; ++w) {
     mask |= 1u << (first_word + w);
   }
-  for (WriteEntry& e : entries_) {
+  for (int i = 0; i < size_; ++i) {
+    WriteEntry& e = ring_[slot(i)];
     if (e.block_base == base) {
       e.word_mask |= mask;
       return true;
     }
   }
   if (full()) return false;
-  entries_.push_back(WriteEntry{base, mask, is_private});
+  ring_[slot(size_)] = WriteEntry{base, mask, is_private};
+  ++size_;
   return true;
 }
 
 bool WriteBuffer::coalesces(Addr addr) const {
   Addr base = block_base(addr, block_bytes_);
-  for (const WriteEntry& e : entries_) {
-    if (e.block_base == base) return true;
+  for (int i = 0; i < size_; ++i) {
+    if (ring_[slot(i)].block_base == base) return true;
   }
   return false;
 }
 
 WriteEntry WriteBuffer::pop() {
-  NC_ASSERT(!entries_.empty(), "pop from empty write buffer");
-  WriteEntry e = entries_.front();
-  entries_.pop_front();
+  NC_ASSERT(size_ > 0, "pop from empty write buffer");
+  WriteEntry e = ring_[static_cast<std::size_t>(head_)];
+  head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
+  --size_;
   return e;
 }
 

@@ -50,6 +50,9 @@ void reject_unless(bool ok, const char* key, T value, const char* why) {
 
 void MachineConfig::validate() const {
   reject_unless(nodes > 0, "nodes", nodes, "need at least one node");
+  reject_unless(nodes <= kMaxNodes, "nodes", nodes,
+                "at most 256 nodes: a private address holds its node id in "
+                "8 bits");
   reject_unless(is_pow2(static_cast<std::uint64_t>(l1.block_bytes)),
                 "l1.block_bytes", l1.block_bytes,
                 "cache block sizes must be powers of two");

@@ -85,9 +85,13 @@ struct FaultConfig {
   bool enabled() const { return !spec.empty(); }
 };
 
+/// Widest machine validate() accepts: AddressSpace packs a private address's
+/// node id into 8 address bits.
+inline constexpr int kMaxNodes = 256;
+
 /// Full machine description. Defaults reproduce the paper's base system.
 struct MachineConfig {
-  int nodes = 16;
+  int nodes = 16;  // 1..kMaxNodes
   SystemKind system = SystemKind::kNetCache;
 
   CacheConfig l1{4 * 1024, 32, 1};

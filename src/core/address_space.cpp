@@ -1,5 +1,6 @@
 #include "src/core/address_space.hpp"
 
+#include "src/common/config.hpp"
 #include "src/common/nc_assert.hpp"
 
 namespace netcache::core {
@@ -26,6 +27,10 @@ Addr AddressSpace::alloc_shared(std::size_t bytes) {
 
 Addr AddressSpace::alloc_private(NodeId node, std::size_t bytes) {
   NC_ASSERT(node >= 0 && node < nodes_, "bad node for private allocation");
+  static_assert(static_cast<Addr>(kMaxNodes - 1) <= kPrivateNodeMask,
+                "MachineConfig::validate admits node ids the field can't hold");
+  NC_ASSERT(static_cast<Addr>(node) <= kPrivateNodeMask,
+            "node id does not fit the private-address node field");
   std::size_t& top = private_top_[static_cast<std::size_t>(node)];
   Addr base = kPrivateBit |
               (static_cast<Addr>(node) << kPrivateNodeShift) |
@@ -41,7 +46,7 @@ Addr AddressSpace::alloc_private(NodeId node, std::size_t bytes) {
 
 NodeId AddressSpace::home(Addr addr) const {
   if (is_private(addr)) {
-    return static_cast<NodeId>((addr >> kPrivateNodeShift) & 0xFF);
+    return static_cast<NodeId>((addr >> kPrivateNodeShift) & kPrivateNodeMask);
   }
   return static_cast<NodeId>(block_of(addr, block_bytes_) %
                              static_cast<Addr>(nodes_));

@@ -32,6 +32,7 @@ class AddressSpace {
  private:
   static constexpr Addr kPrivateBit = Addr{1} << 48;
   static constexpr Addr kPrivateNodeShift = 40;
+  static constexpr Addr kPrivateNodeMask = 0xFF;  // node ids 0..255
 
   int nodes_;
   int block_bytes_;

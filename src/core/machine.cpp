@@ -123,13 +123,9 @@ RunSummary Machine::run(apps::Workload& workload,
                       "transactions");
   }
   if (config_.sharer_tracking) {
-    // Built here, before any L2 can change, with a hash hint of every
-    // node's L2 line count.
-    const std::size_t lines_per_node = static_cast<std::size_t>(
-        config_.l2.size_bytes / config_.l2.block_bytes);
-    sharer_map_ = std::make_unique<SharerMap>(
-        config_.nodes,
-        lines_per_node * static_cast<std::size_t>(config_.nodes));
+    // Built here, before any L2 can change.
+    sharer_map_ =
+        std::make_unique<SharerMap>(config_.nodes, config_.l2.block_bytes);
     sharer_hooks_.reserve(static_cast<std::size_t>(config_.nodes));
     for (NodeId n = 0; n < config_.nodes; ++n) {
       sharer_hooks_.push_back(SharerHook{sharer_map_.get(), &as_, n});

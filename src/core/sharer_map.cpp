@@ -1,73 +1,68 @@
 #include "src/core/sharer_map.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "src/common/nc_assert.hpp"
 
 namespace netcache::core {
 
-SharerMap::SharerMap(int nodes, std::size_t blocks_hint)
-    : nodes_(nodes), words_((nodes + 63) / 64) {
+namespace {
+
+bool any_set(const std::uint64_t* w, std::size_t words) {
+  for (std::size_t i = 0; i < words; ++i) {
+    if (w[i] != 0) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
+SharerMap::SharerMap(int nodes, int block_bytes)
+    : nodes_(nodes),
+      words_(static_cast<std::size_t>(nodes + 63) / 64),
+      block_shift_(std::countr_zero(static_cast<unsigned>(block_bytes))) {
   NC_ASSERT(nodes > 0, "empty sharer map");
-  slots_.reserve(blocks_hint);
+  NC_ASSERT(is_pow2(static_cast<std::uint64_t>(block_bytes)),
+            "block size must be a power of two");
 }
 
 void SharerMap::set_resident(Addr block_base, NodeId node, bool resident) {
+  const std::size_t at = row(block_base);
   const std::size_t word = static_cast<std::size_t>(node) >> 6;
   const std::uint64_t bit = std::uint64_t{1} << (node & 63);
-  auto it = slots_.find(block_base);
   if (resident) {
-    if (it == slots_.end()) {
-      std::uint32_t slot;
-      if (!free_slots_.empty()) {
-        slot = free_slots_.back();
-        free_slots_.pop_back();
-      } else {
-        slot = static_cast<std::uint32_t>(pool_.size() /
-                                          static_cast<std::size_t>(words_));
-        pool_.resize(pool_.size() + static_cast<std::size_t>(words_), 0);
-      }
-      it = slots_.emplace(block_base, slot).first;
-      ++live_;
-      if (live_ > peak_) peak_ = live_;
+    if (at >= bits_.size()) {
+      NC_ASSERT((block_base >> 47) == 0,
+                "sharer map tracks shared (low-address) blocks only");
+      std::size_t blocks = std::max<std::size_t>(64, table_blocks());
+      while (blocks * words_ <= at) blocks *= 2;
+      bits_.resize(blocks * words_, 0);
     }
-    pool_[static_cast<std::size_t>(it->second) *
-              static_cast<std::size_t>(words_) +
-          word] |= bit;
+    std::uint64_t* w = &bits_[at];
+    if (!any_set(w, words_) && ++live_ > peak_) peak_ = live_;
+    w[word] |= bit;
   } else {
-    if (it == slots_.end()) return;
-    std::uint64_t* w = &pool_[static_cast<std::size_t>(it->second) *
-                              static_cast<std::size_t>(words_)];
+    if (at >= bits_.size()) return;
+    std::uint64_t* w = &bits_[at];
+    if ((w[word] & bit) == 0) return;
     w[word] &= ~bit;
-    bool any = false;
-    for (int i = 0; i < words_; ++i) any |= w[i] != 0;
-    if (!any) {
-      free_slots_.push_back(it->second);
-      slots_.erase(it);
-      --live_;
-    }
+    if (!any_set(w, words_)) --live_;
   }
 }
 
-const std::uint64_t* SharerMap::bitmap(Addr block_base) const {
-  auto it = slots_.find(block_base);
-  if (it == slots_.end()) return nullptr;
-  return &pool_[static_cast<std::size_t>(it->second) *
-                static_cast<std::size_t>(words_)];
-}
-
 bool SharerMap::contains(Addr block_base, NodeId node) const {
-  const std::uint64_t* w = bitmap(block_base);
-  return w != nullptr &&
-         ((w[static_cast<std::size_t>(node) >> 6] >> (node & 63)) & 1) != 0;
+  const std::size_t at =
+      row(block_base) + (static_cast<std::size_t>(node) >> 6);
+  return at < bits_.size() && ((bits_[at] >> (node & 63)) & 1) != 0;
 }
 
 const std::vector<NodeId>& SharerMap::snapshot(Addr block_base) {
   snapshot_.clear();
-  const std::uint64_t* w = bitmap(block_base);
-  if (w == nullptr) return snapshot_;
-  for (int i = 0; i < words_; ++i) {
-    for (std::uint64_t bits = w[i]; bits != 0; bits &= bits - 1) {
+  const std::size_t at = row(block_base);
+  if (at >= bits_.size()) return snapshot_;
+  for (std::size_t i = 0; i < words_; ++i) {
+    for (std::uint64_t bits = bits_[at + i]; bits != 0; bits &= bits - 1) {
       snapshot_.push_back(
           static_cast<NodeId>(i * 64 + std::countr_zero(bits)));
     }

@@ -4,22 +4,28 @@
 // every coherence commit. This is host-side bookkeeping, not a protocol
 // structure — simulated timing and all results are bit-identical with
 // tracking off (NETCACHE_SHARER_TRACKING=0 restores the full scan).
+//
+// The directory is a dense table, not a hash: ceil(nodes / 64) bitmap words
+// per shared L2 block, indexed by block number. Shared addresses are dense
+// from 0 (AddressSpace::alloc_shared) and the residency hook keeps private
+// blocks out, so the table spans the shared footprint that has ever been
+// cached. It doubles on the first resident mark past its end; reads past
+// the end see no sharers and do not grow it.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/types.hpp"
 
 namespace netcache::core {
 
-/// L2 block base -> node bitmap (u64 words sized to the node count).
+/// L2 block number -> node bitmap (u64 words sized to the node count).
 class SharerMap {
  public:
-  /// `blocks_hint` pre-sizes the hash map (a good hint: the per-node L2
-  /// line count times the node count).
-  SharerMap(int nodes, std::size_t blocks_hint);
+  /// `block_bytes` is the L2 block size (a power of two): block bases are
+  /// turned into table rows by shifting.
+  SharerMap(int nodes, int block_bytes);
 
   int nodes() const { return nodes_; }
 
@@ -44,19 +50,22 @@ class SharerMap {
   /// serialization and bit-identity comparisons.
   std::uint64_t peak_blocks() const { return peak_; }
 
+  /// Blocks the table currently spans (a power of two, or 0 before the
+  /// first resident mark).
+  std::size_t table_blocks() const { return bits_.size() / words_; }
+
  private:
-  /// Pointer to the block's `words_` bitmap words, or null if untracked.
-  const std::uint64_t* bitmap(Addr block_base) const;
+  /// Offset of the block's first bitmap word in `bits_`.
+  std::size_t row(Addr block_base) const {
+    return static_cast<std::size_t>(block_base >> block_shift_) * words_;
+  }
 
   int nodes_;
-  int words_;  // bitmap words per entry: ceil(nodes / 64)
-  /// Block base -> bitmap slot number (offset / words_ into `pool_`).
-  std::unordered_map<Addr, std::uint32_t> slots_;
-  /// Bitmap storage, `words_` u64s per slot; freed slots are recycled so
-  /// the pool plateaus at the peak working set.
-  std::vector<std::uint64_t> pool_;
-  std::vector<std::uint32_t> free_slots_;
-  std::uint64_t live_ = 0;
+  std::size_t words_;  // bitmap words per block: ceil(nodes / 64)
+  int block_shift_;    // log2(block_bytes)
+  /// `words_` u64s per block, block 0 first; grown by doubling.
+  std::vector<std::uint64_t> bits_;
+  std::uint64_t live_ = 0;  // blocks with at least one sharer
   std::uint64_t peak_ = 0;
   std::vector<NodeId> snapshot_;  // snapshot() scratch
 };

@@ -22,24 +22,45 @@ struct Later {
 EventQueue::EventQueue()
     : buckets_(kWheelSize), occupied_(kWheelSize / 64, 0) {}
 
-void EventQueue::insert(Event&& e) {
+template <typename F>
+void EventQueue::for_each_wheel_event(F&& f) {
+  for (std::size_t w = 0; w < occupied_.size(); ++w) {
+    for (std::uint64_t bits = occupied_[w]; bits != 0; bits &= bits - 1) {
+      const std::size_t idx =
+          (w << 6) + static_cast<std::size_t>(std::countr_zero(bits));
+      for (std::uint32_t n = buckets_[idx].head; n != kNil;
+           n = nodes_[n].next_) {
+        f(nodes_[n]);
+      }
+    }
+  }
+}
+
+EventQueue::~EventQueue() {
+  // Free pool nodes hold stale copies of events that already fired, so only
+  // the live bucket lists and the overflow heap own callables.
+  for_each_wheel_event([](Event& e) { e.discard(); });
+  for (Event& e : overflow_) e.discard();
+}
+
+void EventQueue::insert_slow(const Event& e) {
   if (size_ == 0) {
     // Empty queue: the cursor can snap anywhere, no events constrain it.
     cursor_ = e.time;
   } else if (e.time < cursor_) {
     rebuild(e.time);
   }
-  place(std::move(e));
+  place(e);
   ++size_;
 }
 
-void EventQueue::place(Event&& e, bool account) {
+void EventQueue::place(const Event& e, bool account) {
   NC_ASSERT(e.time >= cursor_, "event below cursor");
   if (e.time - cursor_ < static_cast<Cycles>(wheel_size_)) {
-    append(static_cast<std::size_t>(e.time) & wheel_mask_, std::move(e));
+    append(static_cast<std::size_t>(e.time) & wheel_mask_, e);
     if (account) ++stats_.wheel_pushes;
   } else {
-    overflow_.push_back(std::move(e));
+    overflow_.push_back(e);
     std::push_heap(overflow_.begin(), overflow_.end(), Later{});
     if (account) {
       ++stats_.overflow_pushes;
@@ -50,41 +71,10 @@ void EventQueue::place(Event&& e, bool account) {
   }
 }
 
-void EventQueue::append(std::size_t idx, Event&& e) {
-  std::uint32_t n;
-  if (free_ != kNil) {
-    n = free_;
-    free_ = nodes_[n].next_;
-    nodes_[n] = std::move(e);
-  } else {
-    NC_ASSERT(nodes_.size() < kNil, "event node pool exhausted");
-    n = static_cast<std::uint32_t>(nodes_.size());
-    nodes_.push_back(std::move(e));
-  }
-  nodes_[n].next_ = kNil;
-  Bucket& b = buckets_[idx];
-  if (b.tail == kNil) {
-    b.head = n;
-    occupied_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
-  } else {
-    nodes_[b.tail].next_ = n;
-  }
-  b.tail = n;
-}
-
-Event EventQueue::take_head(std::size_t idx) {
-  Bucket& b = buckets_[idx];
-  const std::uint32_t n = b.head;
-  Event& node = nodes_[n];
-  b.head = node.next_;
-  if (b.head == kNil) {
-    b.tail = kNil;
-    occupied_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
-  }
-  Event e = std::move(node);
-  node.next_ = free_;
-  free_ = n;
-  return e;
+std::uint32_t EventQueue::grow_pool() {
+  NC_ASSERT(nodes_.size() < kNil, "event node pool exhausted");
+  nodes_.emplace_back();
+  return static_cast<std::uint32_t>(nodes_.size() - 1);
 }
 
 void EventQueue::push_resume_batch(Cycles time,
@@ -116,21 +106,9 @@ void EventQueue::push_resume_batch(Cycles time,
 }
 
 void EventQueue::drain_wheel(std::vector<Event>& out) {
-  for (std::size_t w = 0; w < occupied_.size(); ++w) {
-    std::uint64_t bits = occupied_[w];
-    while (bits) {
-      std::size_t idx = (w << 6) + static_cast<std::size_t>(
-                                       std::countr_zero(bits));
-      bits &= bits - 1;
-      for (std::uint32_t n = buckets_[idx].head; n != kNil;) {
-        Event& node = nodes_[n];
-        n = node.next_;
-        out.push_back(std::move(node));
-      }
-      buckets_[idx] = Bucket{};
-    }
-    occupied_[w] = 0;
-  }
+  for_each_wheel_event([&out](const Event& e) { out.push_back(e); });
+  buckets_.assign(buckets_.size(), Bucket{});
+  std::fill(occupied_.begin(), occupied_.end(), 0);
   nodes_.clear();
   free_ = kNil;
 }
@@ -142,7 +120,7 @@ void EventQueue::rebuild(Cycles new_cursor) {
   cursor_ = new_cursor;
   // Re-bucketing relocates events that were already accounted at insertion;
   // only the rebuild itself is counted.
-  for (auto& e : pending) place(std::move(e), /*account=*/false);
+  for (const Event& e : pending) place(e, /*account=*/false);
   ++stats_.rebuilds;
 }
 
@@ -159,7 +137,7 @@ void EventQueue::maybe_regrow() {
   std::vector<Event> pending;
   pending.reserve(size_ + 1);
   drain_wheel(pending);
-  for (auto& e : overflow_) pending.push_back(std::move(e));
+  pending.insert(pending.end(), overflow_.begin(), overflow_.end());
   overflow_.clear();
   std::sort(pending.begin(), pending.end(), [](const Event& a, const Event& b) {
     if (a.time != b.time) return a.time < b.time;
@@ -172,7 +150,7 @@ void EventQueue::maybe_regrow() {
   occupied_.assign(wheel_size_ / 64, 0);
   regrown_ = true;
 
-  for (auto& e : pending) place(std::move(e), /*account=*/false);
+  for (const Event& e : pending) place(e, /*account=*/false);
   ++stats_.wheel_regrows;
 }
 
@@ -205,19 +183,7 @@ Cycles EventQueue::next_time() const {
   return (tw < 0 || to < tw) ? to : tw;
 }
 
-Event EventQueue::pop() {
-  NC_ASSERT(size_ > 0, "pop on empty queue");
-  // Fast path: the wheel spans [cursor_, cursor_ + wheel_size_), so the
-  // cursor's own slot can only hold events at cursor_. When it is occupied
-  // and nothing in the overflow heap is due at that instant, its head is the
-  // global minimum; the cursor stays put.
-  const std::size_t cur = static_cast<std::size_t>(cursor_) & wheel_mask_;
-  if (buckets_[cur].head != kNil &&
-      (overflow_.empty() || overflow_.front().time > cursor_)) {
-    --size_;
-    return take_head(cur);
-  }
-
+Event EventQueue::pop_slow() {
   Cycles tw = wheel_next_time();
   std::size_t idx = static_cast<std::size_t>(tw) & wheel_mask_;
   bool from_wheel;
@@ -237,7 +203,7 @@ Event EventQueue::pop() {
     e = take_head(idx);
   } else {
     std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
-    e = std::move(overflow_.back());
+    e = overflow_.back();
     overflow_.pop_back();
   }
   // The popped event is the global minimum, so every remaining event is at or

@@ -8,7 +8,9 @@
 //    suspended caller's frame, so firing it costs no allocation and no
 //    coroutine frame. The rare genuine-callback case stores one owning
 //    pointer to a heap-boxed callable; only tests schedule callables, so the
-//    allocation never sits on a simulation's hot path.
+//    allocation never sits on a simulation's hot path. The record is
+//    trivially copyable; a boxed callable belongs to its event until it
+//    fires, is discarded, or is freed with the queue (see Event).
 //  - The queue is a hierarchical timing wheel: events within wheel_size()
 //    cycles of the cursor go into a power-of-two ring of FIFO buckets
 //    (O(1) push/pop); far-future events go to a small overflow min-heap and
@@ -16,6 +18,9 @@
 //  - Bucket FIFOs are intrusive singly-linked lists threaded through one
 //    node pool with a free list, so queue memory is bounded by the peak
 //    number of pending events, not by how many ever shared a bucket.
+//  - The hot paths are inline: a push inside the horizon onto a non-empty
+//    queue, and a pop from the cursor's own bucket. The empty-queue snap,
+//    overflow, rebuild, regrow and the wheel scan stay out of line.
 //
 // Determinism contract (same as the old priority-queue implementation):
 // events fire in (time, insertion-order) order, regardless of which internal
@@ -29,6 +34,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/nc_assert.hpp"
 #include "src/common/types.hpp"
 
 namespace netcache::sim {
@@ -50,36 +56,16 @@ struct EventOp {
 
 /// One scheduled event: a coroutine to resume (common case, a raw handle —
 /// no allocation, no indirection), a non-owning EventOp to run, or an owned,
-/// heap-boxed callable. Movable, fire-once. 32 bytes: time, seq, tag, kind
-/// and one pointer (the queue's intrusive link rides in the
-/// padding).
+/// heap-boxed callable. Fire-once. 32 bytes: time, seq, tag, kind and one
+/// pointer (the queue's intrusive link rides in the padding).
+///
+/// Trivially copyable, so the queue moves records in and out of its node
+/// pool as plain copies. Ownership of a boxed callable therefore follows the
+/// event, not the record: it is freed when the event fires (fire()), when
+/// an unfired event is dropped (discard()), or by ~EventQueue for events
+/// still pending. A popped boxed event must be fired or discarded.
 class Event {
  public:
-  Event() = default;
-
-  // Moves carry next_ so the node pool keeps its links when it reallocates.
-  Event(Event&& o) noexcept
-      : time(o.time), seq(o.seq), tag(o.tag),
-        kind_(std::exchange(o.kind_, Kind::kResume)), next_(o.next_),
-        ptr_(std::exchange(o.ptr_, nullptr)) {}
-
-  Event& operator=(Event&& o) noexcept {
-    if (this != &o) {
-      reset();
-      time = o.time;
-      seq = o.seq;
-      tag = o.tag;
-      kind_ = std::exchange(o.kind_, Kind::kResume);
-      next_ = o.next_;
-      ptr_ = std::exchange(o.ptr_, nullptr);
-    }
-    return *this;
-  }
-
-  Event(const Event&) = delete;
-  Event& operator=(const Event&) = delete;
-  ~Event() { reset(); }
-
   static Event make_resume(Cycles time, std::uint64_t seq,
                            std::coroutine_handle<> h, std::uint16_t tag = 0) {
     Event e;
@@ -114,7 +100,8 @@ class Event {
     return e;
   }
 
-  /// Runs the event. Consumes it: afterwards the Event is empty.
+  /// Runs the event, then frees a boxed callable. Consumes it: afterwards
+  /// the Event is empty.
   void fire() {
     void* p = std::exchange(ptr_, nullptr);
     // Plain resumes dominate every workload and are the whole of a pure
@@ -130,6 +117,14 @@ class Event {
       std::unique_ptr<Callback> cb(static_cast<Callback*>(p));
       cb->run();
     }
+  }
+
+  /// Drops the event unfired, freeing a boxed callable (resume and op
+  /// events own nothing). Afterwards the Event is empty.
+  void discard() {
+    if (kind_ == Kind::kBoxed) delete static_cast<Callback*>(ptr_);
+    kind_ = Kind::kResume;
+    ptr_ = nullptr;
   }
 
   bool is_resume() const { return kind_ == Kind::kResume && ptr_ != nullptr; }
@@ -163,18 +158,14 @@ class Event {
   /// What ptr_ holds. Only kBoxed owns its pointee.
   enum class Kind : std::uint8_t { kResume, kBoxed, kOp };
 
-  void reset() {
-    if (kind_ == Kind::kBoxed) delete static_cast<Callback*>(ptr_);
-    kind_ = Kind::kResume;
-    ptr_ = nullptr;
-  }
-
   Kind kind_ = Kind::kResume;
   std::uint32_t next_ = 0;  // EventQueue node-pool link (bucket or free list)
   void* ptr_ = nullptr;     // coroutine address, EventOp, owned Callback
 };
 
 static_assert(sizeof(Event) <= 32, "Event must stay a 32-byte record");
+static_assert(std::is_trivially_copyable_v<Event>,
+              "the node pool copies events as plain bytes");
 
 /// Where pushed events landed, and how often the structures degraded —
 /// the observability needed to tune kWheelSize against real workloads.
@@ -208,6 +199,8 @@ struct EventQueueStats {
 class EventQueue {
  public:
   EventQueue();
+  /// Frees the boxed callables of events still pending.
+  ~EventQueue();
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
@@ -259,7 +252,21 @@ class EventQueue {
   Cycles next_time() const;
 
   /// Removes and returns the earliest event (FIFO among same-time events).
-  Event pop();
+  /// The caller takes over a boxed callable: fire() or discard() the event.
+  Event pop() {
+    NC_ASSERT(size_ > 0, "pop on empty queue");
+    // Fast path: the wheel spans [cursor_, cursor_ + wheel_size_), so the
+    // cursor's own slot can only hold events at cursor_. When it is occupied
+    // and nothing in the overflow heap is due at that instant, its head is
+    // the global minimum; the cursor stays put.
+    const std::size_t cur = static_cast<std::size_t>(cursor_) & wheel_mask_;
+    if (buckets_[cur].head != kNil &&
+        (overflow_.empty() || overflow_.front().time > cursor_)) [[likely]] {
+      --size_;
+      return take_head(cur);
+    }
+    return pop_slow();
+  }
 
   /// Wheel/overflow occupancy counters since construction.
   const EventQueueStats& stats() const { return stats_; }
@@ -280,14 +287,72 @@ class EventQueue {
     std::uint32_t tail = kNil;
   };
 
-  void insert(Event&& e);
-  void place(Event&& e, bool account = true);
+  /// Fast path: a non-empty queue and a time inside the wheel horizon,
+  /// appended to its bucket in O(1). The empty-queue snap, the below-cursor
+  /// rebuild and overflow go through insert_slow.
+  void insert(const Event& e) {
+    if (size_ != 0 && e.time >= cursor_ &&
+        e.time - cursor_ < static_cast<Cycles>(wheel_size_)) [[likely]] {
+      append(static_cast<std::size_t>(e.time) & wheel_mask_, e);
+      ++stats_.wheel_pushes;
+      ++size_;
+      return;
+    }
+    insert_slow(e);
+  }
+  void insert_slow(const Event& e);
+  void place(const Event& e, bool account = true);
+
   /// Links `e` at the tail of bucket `idx`, reusing a free node if any.
-  void append(std::size_t idx, Event&& e);
-  /// Unlinks the head of (non-empty) bucket `idx` and frees its node.
-  Event take_head(std::size_t idx);
-  /// Moves every wheel event out (bucket by bucket, FIFO order within each)
-  /// and empties the pool and the buckets.
+  void append(std::size_t idx, const Event& e) {
+    std::uint32_t n = free_;
+    if (n != kNil) [[likely]] {
+      free_ = nodes_[n].next_;
+    } else {
+      n = grow_pool();
+    }
+    Event& node = nodes_[n];
+    node = e;
+    node.next_ = kNil;
+    Bucket& b = buckets_[idx];
+    if (b.tail == kNil) {
+      b.head = n;
+      occupied_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
+    } else {
+      nodes_[b.tail].next_ = n;
+    }
+    b.tail = n;
+  }
+  /// Appends one node to the pool and returns its index.
+  std::uint32_t grow_pool();
+
+  /// Unlinks the head of (non-empty) bucket `idx` and frees its node. The
+  /// free node keeps a stale copy of the event, so nothing may read a free
+  /// node's callable (see ~EventQueue).
+  Event take_head(std::size_t idx) {
+    Bucket& b = buckets_[idx];
+    const std::uint32_t n = b.head;
+    Event& node = nodes_[n];
+    b.head = node.next_;
+    if (b.head == kNil) {
+      b.tail = kNil;
+      occupied_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
+    }
+    const Event e = node;
+    node.next_ = free_;
+    free_ = n;
+    return e;
+  }
+
+  /// pop() when the cursor's slot is empty or the overflow heap is due:
+  /// scans the wheel and merges with the heap, then advances the cursor.
+  Event pop_slow();
+  /// Calls `f` on every pending wheel event, bucket by bucket, FIFO order
+  /// within each (live lists only, never free nodes).
+  template <typename F>
+  void for_each_wheel_event(F&& f);
+  /// Copies every wheel event out (for_each_wheel_event order) and empties
+  /// the pool and the buckets.
   void drain_wheel(std::vector<Event>& out);
   /// Re-buckets every wheel event relative to a lower cursor. Only reachable
   /// by pushing a time below the cursor, which the engine never does (its

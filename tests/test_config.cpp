@@ -90,6 +90,21 @@ TEST(Config, ValidateRejectsOutOfRangeScalars) {
   expect_rejected(cfg, "write_buffer_entries", "cannot be empty");
 }
 
+TEST(Config, ValidateRejectsMachinesWiderThanPrivateNodeField) {
+  // A private address carries its node id in 8 bits: node 256's private
+  // heap would alias node 0's. LambdaNet has no ring-channel constraint,
+  // so the node count is the only limit in play.
+  MachineConfig cfg;
+  cfg.system = SystemKind::kLambdaNet;
+  cfg.nodes = kMaxNodes;
+  EXPECT_EQ(cfg.nodes, 256);
+  cfg.validate();  // must not throw
+  cfg.nodes = 257;
+  expect_rejected(cfg, "nodes", "at most 256 nodes");
+  cfg.nodes = 512;
+  expect_rejected(cfg, "nodes", "at most 256 nodes");
+}
+
 TEST(Config, ConfigErrorIsASimError) {
   // Drivers catch SimError; ConfigError must be part of that hierarchy.
   MachineConfig cfg;

@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "src/common/sim_error.hpp"
+
 namespace netcache::sim {
 namespace {
 
@@ -82,6 +84,41 @@ TEST(Engine, ManyConcurrentProcesses) {
   Cycles end = eng.run();
   EXPECT_EQ(done, 100);
   EXPECT_EQ(end, 200);
+}
+
+TEST(Engine, WatchdogThrowsFreeEveryBoxedCallable) {
+  // A boxed callable belongs to its event: the event run() popped just
+  // before a watchdog threw, and every event still pending when the engine
+  // is destroyed, must each free its callable exactly once.
+  int alive = 0;
+  struct Token {
+    int* alive;
+    explicit Token(int* a) : alive(a) { ++*alive; }
+    Token(const Token& o) : alive(o.alive) { ++*alive; }
+    ~Token() { --*alive; }
+  };
+  {
+    Engine eng;
+    const Token tok(&alive);
+    for (Cycles t = 10; t <= 40; t += 10) {
+      eng.schedule(t, [tok] { (void)tok; });
+    }
+    RunLimits limits;
+    limits.max_cycles = 20;  // @10 fires; @20 is popped, then run() throws
+    EXPECT_THROW(eng.run(limits), SimError);
+    EXPECT_EQ(eng.events_executed(), 1u);
+  }
+  EXPECT_EQ(alive, 0);
+  {
+    Engine eng;
+    const Token tok(&alive);
+    for (int i = 0; i < 4; ++i) eng.schedule(5, [tok] { (void)tok; });
+    RunLimits limits;
+    limits.max_stalled_events = 1;  // the third same-time pop throws
+    EXPECT_THROW(eng.run(limits), SimError);
+    EXPECT_EQ(eng.events_executed(), 2u);
+  }
+  EXPECT_EQ(alive, 0);
 }
 
 }  // namespace

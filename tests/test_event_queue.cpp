@@ -60,7 +60,7 @@ TEST(EventQueue, NextTimeReportsEarliest) {
   q.push(42, [] {});
   q.push(7, [] {});
   EXPECT_EQ(q.next_time(), 7);
-  q.pop();
+  q.pop().fire();  // a popped boxed event owns its callable until it fires
   EXPECT_EQ(q.next_time(), 42);
 }
 
@@ -70,7 +70,7 @@ TEST(EventQueue, SizeTracksContents) {
   q.push(1, [] {});
   q.push(2, [] {});
   EXPECT_EQ(q.size(), 2u);
-  q.pop();
+  q.pop().fire();
   EXPECT_EQ(q.size(), 1u);
 }
 

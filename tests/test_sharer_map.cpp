@@ -5,6 +5,7 @@
 // probe taken or avoided.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -70,7 +71,7 @@ RunSummary run_app(const std::string& app, const RunOpts& opts) {
 
 TEST(SharerMapUnit, SnapshotListsSharersInAscendingNodeOrder) {
   // 70 nodes forces a two-word bitmap.
-  SharerMap map(70, 16);
+  SharerMap map(70, 64);
   EXPECT_EQ(map.nodes(), 70);
   const Addr block = 0x1000;
   for (NodeId n : {69, 0, 64, 3, 17, 35}) {
@@ -83,8 +84,8 @@ TEST(SharerMapUnit, SnapshotListsSharersInAscendingNodeOrder) {
   EXPECT_FALSE(map.contains(block, 68));
 }
 
-TEST(SharerMapUnit, ClearingLastSharerRecyclesTheEntry) {
-  SharerMap map(8, 4);
+TEST(SharerMapUnit, PeakCountsBlocksThatHaveSharers) {
+  SharerMap map(8, 64);
   const Addr a = 0x40;
   const Addr b = 0x80;
   map.set_resident(a, 2, true);
@@ -95,14 +96,14 @@ TEST(SharerMapUnit, ClearingLastSharerRecyclesTheEntry) {
   EXPECT_TRUE(map.contains(a, 3));
   map.set_resident(a, 3, false);
   EXPECT_TRUE(map.snapshot(a).empty());
-  // The freed slot is recycled: a third block does not raise the peak.
+  // Block a has no sharers left, so a third block does not raise the peak.
   map.set_resident(0xc0, 3, true);
   EXPECT_EQ(map.peak_blocks(), 2u);
   EXPECT_TRUE(map.contains(b, 2));
 }
 
 TEST(SharerMapUnit, RedundantTransitionsAreIdempotent) {
-  SharerMap map(4, 4);
+  SharerMap map(4, 64);
   const Addr block = 0x200;
   map.set_resident(block, 1, true);
   map.set_resident(block, 1, true);  // refresh: still one sharer
@@ -112,6 +113,39 @@ TEST(SharerMapUnit, RedundantTransitionsAreIdempotent) {
   map.set_resident(block, 1, false);
   map.set_resident(block, 1, false);  // double-clear on an empty entry
   EXPECT_TRUE(map.snapshot(block).empty());
+}
+
+TEST(SharerMapUnit, ResidentMarksPastTheEndGrowTheTableReadsDoNot) {
+  // The table is dense from address 0. A resident mark past its end grows it
+  // by doubling; reads (and clears) past the end see no sharers and leave
+  // it as it is.
+  SharerMap map(256, 64);
+  const Addr far = Addr{4} << 20;  // 4 MiB into the shared space
+  EXPECT_FALSE(map.contains(far, 7));
+  EXPECT_TRUE(map.snapshot(far).empty());
+  EXPECT_EQ(map.table_blocks(), 0u);
+
+  map.set_resident(0x40, 3, true);
+  const std::size_t small = map.table_blocks();
+  EXPECT_GT(small, 1u);
+  EXPECT_LT(small * 64, far);
+  EXPECT_FALSE(map.contains(far, 7));
+  EXPECT_TRUE(map.snapshot(far).empty());
+  map.set_resident(far, 7, false);
+  EXPECT_EQ(map.table_blocks(), small);
+
+  map.set_resident(far, 7, true);
+  map.set_resident(far, 255, true);
+  EXPECT_GT(map.table_blocks() * 64, far);
+  EXPECT_TRUE(std::has_single_bit(map.table_blocks()));
+  EXPECT_EQ(map.snapshot(far), (std::vector<NodeId>{7, 255}));
+  EXPECT_TRUE(map.contains(0x40, 3));  // growing kept the existing rows
+  EXPECT_EQ(map.peak_blocks(), 2u);
+
+  const Addr farther = far * 4;  // still past the grown end
+  EXPECT_FALSE(map.contains(farther, 7));
+  EXPECT_TRUE(map.snapshot(farther).empty());
+  EXPECT_LT(map.table_blocks() * 64, farther);
 }
 
 // --- Cache residency hook -------------------------------------------------

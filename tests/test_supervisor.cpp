@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -405,6 +406,7 @@ TEST_F(SupervisorTest, SigtermMidGridLeavesNoOrphansNoTempFilesAndResumes) {
   };
 
   std::vector<sweep::CellResult> results;
+  const auto grid_start = std::chrono::steady_clock::now();
   std::thread grid([&] {
     results = sweep::run_supervised(cells, 1, isolation(/*timeout_s=*/60.0),
                                     &cache);
@@ -415,6 +417,11 @@ TEST_F(SupervisorTest, SigtermMidGridLeavesNoOrphansNoTempFilesAndResumes) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   ASSERT_GE(cache.stats().stores, 1u) << "first cell never completed";
+  // What one healthy cell costs on this build (sanitizers slow it many
+  // times over): the resume's budget is sized from it.
+  const double healthy_s = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - grid_start)
+                               .count();
   sweep::request_stop(SIGTERM);
   grid.join();
 
@@ -441,11 +448,13 @@ TEST_F(SupervisorTest, SigtermMidGridLeavesNoOrphansNoTempFilesAndResumes) {
   }
 
   // Resume: the completed cell is a hit (no child forked for it); the hang
-  // cell now runs against a short escalating timeout and is quarantined;
-  // the never-started cell executes.
+  // cell now runs against a short timeout and is quarantined; the
+  // never-started cell executes. The budget is a few healthy cells' worth,
+  // so the healthy cell fits under an instrumented build too.
   sweep::clear_stop();
+  const double resume_timeout_s = std::max(1.0, 4 * healthy_s);
   std::vector<sweep::CellResult> resumed = sweep::run_supervised(
-      cells, 1, isolation(/*timeout_s=*/1.0), &cache);
+      cells, 1, isolation(resume_timeout_s), &cache);
   EXPECT_TRUE(resumed[0].ok) << resumed[0].error;
   EXPECT_TRUE(resumed[0].from_cache);
   EXPECT_FALSE(resumed[1].ok);

@@ -73,5 +73,41 @@ TEST(WriteBuffer, PaperCapacitySixteenEntries) {
   EXPECT_FALSE(wb.add(16 * 64, 4, false));
 }
 
+TEST(WriteBuffer, RingWrapsAndCoalescesIntoWrappedEntry) {
+  // Three slots. After two pops the oldest live entry sits in the last slot
+  // and the next add wraps to the first. Coalescing must search exactly the
+  // live slots from the head, across the wrap, and never a popped slot.
+  WriteBuffer wb(3, 64);
+  EXPECT_TRUE(wb.add(0, 4, false));
+  EXPECT_TRUE(wb.add(64, 4, false));
+  EXPECT_TRUE(wb.add(128, 4, true));
+  EXPECT_TRUE(wb.full());
+  EXPECT_EQ(wb.pop().block_base, 0u);
+  EXPECT_EQ(wb.pop().block_base, 64u);
+  EXPECT_TRUE(wb.add(192 + 8, 4, false));  // wraps into the first slot
+  EXPECT_TRUE(wb.add(128 + 4, 4, false));  // coalesces into the oldest
+  EXPECT_EQ(wb.size(), 2u);
+  EXPECT_FALSE(wb.holds_block(64));       // popped: its slot is stale
+  EXPECT_TRUE(wb.add(64 + 4, 4, false));  // a new entry, not the stale one
+  EXPECT_EQ(wb.size(), 3u);
+  EXPECT_TRUE(wb.full());
+  EXPECT_FALSE(wb.add(256, 4, false));
+  EXPECT_TRUE(wb.add(192 + 60, 4, false));  // into the wrapped entry
+  EXPECT_EQ(wb.size(), 3u);
+
+  WriteEntry e = wb.pop();
+  EXPECT_EQ(e.block_base, 128u);
+  EXPECT_EQ(e.word_mask, (1u << 0) | (1u << 1));
+  EXPECT_TRUE(e.is_private);
+  e = wb.pop();
+  EXPECT_EQ(e.block_base, 192u);
+  EXPECT_EQ(e.word_mask, (1u << 2) | (1u << 15));
+  EXPECT_FALSE(e.is_private);
+  e = wb.pop();
+  EXPECT_EQ(e.block_base, 64u);
+  EXPECT_EQ(e.word_mask, 1u << 1);
+  EXPECT_TRUE(wb.empty());
+}
+
 }  // namespace
 }  // namespace netcache::cache
