@@ -320,7 +320,9 @@ const std::vector<std::string>& all_apps() { return apps::workload_names(); }
 
 namespace {
 
-/// Workload whose per-node body is supplied by the caller.
+/// Workload whose per-node body is supplied by the caller. A probe allocates
+/// its shared region before the run, as a workload's setup would: the
+/// coherence oracle sizes its table to the footprint once setup is done.
 class Script : public apps::Workload {
  public:
   std::function<sim::Task<void>(core::Machine&, core::Cpu&, int)> body;
@@ -343,11 +345,11 @@ double mean_cold_read_latency(SystemKind kind) {
   double total = 0;
   int measured = 0;
   const int count = 128;
-  s.body = [&](core::Machine& mach, core::Cpu& cpu,
-               int tid) -> sim::Task<void> {
+  // Skipping the reader's own blocks takes the loop past `count` strides.
+  const Addr base = m.address_space().alloc_shared(
+      static_cast<std::size_t>(2 * count) * 257 * 64);
+  s.body = [&](core::Machine&, core::Cpu& cpu, int tid) -> sim::Task<void> {
     if (tid != 0) co_return;
-    Addr base = mach.address_space().alloc_shared(
-        static_cast<std::size_t>(count) * 257 * 64 + 64);
     for (int i = 0; measured < count; ++i) {
       Addr b = static_cast<Addr>(257) * i + 1;
       if (b % 16 == 0) continue;
@@ -370,16 +372,11 @@ double mean_ring_hit_latency() {
   int measured = 0;
   const int count = 128;
   core::Barrier* bar = nullptr;
-  // Shared by every per-node coroutine of this one machine; a function-local
-  // static here would leak across concurrently probing sweep workers.
-  Addr base = 0;
+  const Addr base = m.address_space().alloc_shared(
+      static_cast<std::size_t>(2 * count) * 17 * 64);
   s.body = [&](core::Machine& mach, core::Cpu& cpu,
                int tid) -> sim::Task<void> {
     if (!bar) bar = &mach.make_barrier(mach.nodes());
-    if (tid == 0) {
-      base = mach.address_space().alloc_shared(
-          static_cast<std::size_t>(count) * 17 * 64 + 4096);
-    }
     std::vector<Addr> addrs;
     for (int i = 0; addrs.size() < static_cast<std::size_t>(count); ++i) {
       Addr b = static_cast<Addr>(17) * i + 2;
@@ -412,11 +409,10 @@ double mean_update_latency(SystemKind kind) {
   Script s;
   double total = 0;
   const int count = 64;
-  s.body = [&](core::Machine& mach, core::Cpu& cpu,
-               int tid) -> sim::Task<void> {
+  const Addr base = m.address_space().alloc_shared(
+      static_cast<std::size_t>(2 * count) * 257 * 64);
+  s.body = [&](core::Machine&, core::Cpu& cpu, int tid) -> sim::Task<void> {
     if (tid != 0) co_return;
-    Addr base = mach.address_space().alloc_shared(
-        static_cast<std::size_t>(count) * 257 * 64 + 64);
     int measured = 0;
     for (int i = 0; measured < count; ++i) {
       Addr b = static_cast<Addr>(257) * i + 1;

@@ -33,7 +33,9 @@ class Workload {
   virtual const char* name() const = 0;
 
   /// Allocates shared structures and initializes functional data. Also the
-  /// place to grab locks/barriers from the machine.
+  /// place to grab locks/barriers from the machine. Every shared address the
+  /// run touches must be allocated by the end of setup: the coherence
+  /// oracle sizes its table to the footprint then.
   virtual void setup(core::Machine& machine) = 0;
 
   /// Per-node worker body; `tid` equals the node id.

@@ -134,6 +134,8 @@ RunSummary Machine::run(apps::Workload& workload,
     }
   }
   workload.setup(*this);
+  // Setup allocated the whole shared footprint and touched no cache.
+  if (oracle_ != nullptr) oracle_->size_table(as_.shared_bytes_allocated());
   workers_remaining_ = config_.nodes;
   for (NodeId n = 0; n < config_.nodes; ++n) {
     node(n).start(interconnect_.get(), oracle_.get());

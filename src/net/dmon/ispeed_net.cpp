@@ -103,21 +103,21 @@ sim::Task<void> ISpeedNet::drain_write(NodeId src,
   if (oracle_ != nullptr) oracle_->on_invalidate_broadcast(block);
 
   // Invalidation delivery: same sharer-map fast path / full-scan split as
-  // deliver_update_broadcast (see src/net/update_common.cpp for why the
-  // oracle pins the full scan and what the audit certifies).
+  // deliver_update_broadcast (see src/net/update_common.cpp), audited the
+  // same way on verified runs.
   core::SharerMap* sharers = machine_->sharer_map();
   SnoopStats& snoop = machine_->snoop_stats();
   const std::uint64_t others =
       static_cast<std::uint64_t>(machine_->nodes() - 1);
   ++snoop.deliveries;
-  if (sharers != nullptr && oracle_ != nullptr) {
-    verify::audit_sharer_map(*machine_, *sharers, block);
-  }
 
   // drop-invalidate: one sharer misses the broadcast. The fault needs a
   // victim actually caching the block; otherwise it stays armed.
   NodeId drop_victim = kNoNode;
-  if (sharers != nullptr && oracle_ == nullptr) {
+  if (sharers != nullptr) {
+    if (oracle_ != nullptr) {
+      verify::audit_sharer_map(*machine_, *sharers, block);
+    }
     // The snapshot is required here (not just faster): apply_invalidate
     // drops L2 lines, mutating the map mid-walk.
     const std::vector<NodeId>& set = sharers->snapshot(block);
@@ -142,6 +142,7 @@ sim::Task<void> ISpeedNet::drain_write(NodeId src,
     }
     snoop.probes += probed;
     snoop.probes_avoided += others - probed;
+    if (oracle_ != nullptr) oracle_->on_non_sharers_skipped(others - probed);
   } else {
     if (faults_ != nullptr &&
         faults_->armed(faults::FaultKind::kDropInvalidate, eng.now())) {

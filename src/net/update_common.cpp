@@ -23,21 +23,17 @@ void deliver_update_broadcast(core::Machine& machine, NodeId src,
   const std::uint64_t others =
       static_cast<std::uint64_t>(machine.nodes() - 1);
   ++snoop.deliveries;
-  if (sharers != nullptr && oracle != nullptr) {
-    // Verified runs keep the full scan below: the oracle counts every
-    // delivery attempt (OracleStats serialize into the summary), so
-    // skipping non-sharers would change its counters. What a verified run
-    // adds is the exactness audit that proves each skip the unverified
-    // fast path would take is a no-op snoop.
-    verify::audit_sharer_map(machine, *sharers, block_base);
-  }
 
   NodeId drop_victim = kNoNode;
-  if (sharers != nullptr && oracle == nullptr) {
+  if (sharers != nullptr) {
     // O(sharers) fast path (DESIGN.md section 16): the map is an exact
     // mirror of L2 residency, so a skipped node's snoop would have been a
     // contains() miss and a no-op. The snapshot is in ascending node
-    // order — the same call sequence as the full scan.
+    // order — the same call sequence as the full scan. A verified run
+    // proves every skip at the delivery that takes it.
+    if (oracle != nullptr) {
+      verify::audit_sharer_map(machine, *sharers, block_base);
+    }
     const std::vector<NodeId>& set = sharers->snapshot(block_base);
     if (faults != nullptr &&
         faults->armed(faults::FaultKind::kDropUpdate, eng.now())) {
@@ -63,6 +59,9 @@ void deliver_update_broadcast(core::Machine& machine, NodeId src,
     }
     snoop.probes += probed;
     snoop.probes_avoided += others - probed;
+    // The full scan hooks every node but the writer and the victim; the
+    // skipped ones hold no copy, so their hook would only have counted.
+    if (oracle != nullptr) oracle->on_non_sharers_skipped(others - probed);
   } else {
     if (faults != nullptr &&
         faults->armed(faults::FaultKind::kDropUpdate, eng.now())) {

@@ -17,6 +17,16 @@
 // commits that land mid-transfer — see DESIGN.md §11 for the two documented
 // model relaxations).
 //
+// The shadow state is one dense table with a row per shared L2 block,
+// indexed by block number (shared addresses are dense from 0,
+// AddressSpace::alloc_shared): a small header per row plus flat rows x
+// nodes arrays of observed versions and presence bits (and fill times for
+// DMON-I, whose grant check is their only reader). Machine::run sizes it
+// once, after workload setup, to the shared footprint (plus the block the
+// sequential prefetcher reaches past it) rounded up to a whole ring line. A
+// hook outside it is an NC_ASSERT, not a growth, so a workload allocates
+// every shared address it touches before the run starts.
+//
 // Violations abort through nc_assert_fail, so they carry the full
 // FailureReporter context (engine time, blocked table, trace tail) plus this
 // oracle's own recent-commit ring. The oracle is opt-in
@@ -25,10 +35,9 @@
 // parallel sweep driver (one oracle per cell, thread-confined).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/common/config.hpp"
@@ -56,6 +65,13 @@ class CoherenceOracle final : public FailureContext {
   CoherenceOracle(const CoherenceOracle&) = delete;
   CoherenceOracle& operator=(const CoherenceOracle&) = delete;
 
+  /// Allocates the shadow table for `shared_bytes` of shared memory
+  /// (AddressSpace::shared_bytes_allocated() once the workload is set up),
+  /// plus the block the sequential prefetcher may fetch past its end,
+  /// rounded up to a whole ring line because a ring insert stamps every L2
+  /// block of its line. Called once, before the first hook.
+  void size_table(std::size_t shared_bytes);
+
   // --- Store pipeline -----------------------------------------------------
   /// A shared store entered `node`'s write buffer (possibly coalescing).
   void on_store_buffered(NodeId node, Addr addr);
@@ -80,6 +96,15 @@ class CoherenceOracle final : public FailureContext {
   /// stamps the broadcast instant used by the single-writer epoch check.
   void on_invalidate_broadcast(Addr block_base);
   void on_invalidate_delivered(NodeId node, Addr block_base);
+  /// The O(sharers) delivery path skipped `count` nodes whose L2 holds no
+  /// copy (the sharer audit proves it at the same delivery). For such a
+  /// node the update/invalidate hook above only counts, so this credits
+  /// the count and the counters match the full scan's.
+  void on_non_sharers_skipped(std::uint64_t count);
+  /// The block's per-node presence bits (one byte per node, nonzero where
+  /// the oracle records a resident L2 copy); the sharer audit checks them
+  /// against the caches at every delivery.
+  const std::uint8_t* presence(Addr block_base) const;
 
   // --- NetCache ring shared cache -----------------------------------------
   void on_ring_insert(Addr block_base, const std::optional<Addr>& evicted);
@@ -107,16 +132,16 @@ class CoherenceOracle final : public FailureContext {
   void describe_failure_context(std::string& out) const override;
 
  private:
-  struct BlockState {
-    std::uint32_t committed = 0;    // latest globally ordered version
-    std::uint32_t mem = 0;          // version the home memory holds
-    std::uint32_t ring = 0;         // version the ring copy holds
+  /// Header of one shared L2 block's row.
+  struct Row {
+    std::uint32_t committed = 0;  // latest globally ordered version
+    std::uint32_t mem = 0;        // version the home memory holds
+    std::uint32_t ring = 0;       // version the ring copy holds
     NodeId last_writer = kNoNode;
     Cycles last_commit = 0;
-    Cycles last_invalidate = 0;     // I-SPEED broadcast instant
-    std::vector<std::uint32_t> observed;  // per-node version of cached copy
-    std::vector<std::uint8_t> present;    // per-node: copy resident?
-    std::vector<Cycles> fill_time;        // per-node: when the copy filled
+    Cycles last_invalidate = 0;   // I-SPEED broadcast instant
+    bool tracked = false;         // some hook has touched the block
+    bool ring_line = false;       // ring line starting here is cached
   };
 
   struct CommitRecord {
@@ -126,23 +151,35 @@ class CoherenceOracle final : public FailureContext {
     Cycles time = 0;
   };
 
-  BlockState& state(Addr block_base);
+  std::size_t row_of(Addr block_base) const;
+  /// The block's row, marked tracked.
+  Row& state(Addr block_base);
+  /// Index of (`row`, `node`) in the per-node arrays.
+  std::size_t at(const Row& row, NodeId node) const {
+    return static_cast<std::size_t>(&row - rows_.data()) *
+               static_cast<std::size_t>(nodes_) +
+           static_cast<std::size_t>(node);
+  }
   bool tracked(Addr addr) const;
   /// Ring presence is tracked per ring *line* (>= one L2 block wide, see the
-  /// Section 5.3.2 wide-line ablation); freshness stays per L2 block because
-  /// a refresh only rewrites the updated block's words.
+  /// Section 5.3.2 wide-line ablation) in the flag of the line's first row;
+  /// freshness stays per L2 block because a refresh only rewrites the
+  /// updated block's words.
   Addr ring_line_of(Addr addr) const;
   bool on_ring(Addr addr) const;
   [[noreturn]] void violation(const char* what, NodeId node, Addr block_base,
-                              const BlockState* bs) const;
+                              const Row* bs) const;
 
   const MachineConfig* config_;
   const core::AddressSpace* as_;
   sim::Engine* engine_;
   bool update_based_;  // all systems except DMON-I deliver updates
   int nodes_;
-  std::unordered_map<Addr, BlockState> blocks_;
-  std::unordered_set<Addr> ring_lines_;  // ring-line bases currently cached
+  int block_shift_;  // log2(l2.block_bytes)
+  std::vector<Row> rows_;               // one per shared L2 block
+  std::vector<std::uint32_t> observed_; // rows x nodes: version of the copy
+  std::vector<std::uint8_t> present_;   // rows x nodes: copy resident?
+  std::vector<Cycles> fill_time_;       // rows x nodes, DMON-I only
   // Per-node FIFO mirror of the write buffer's *shared* entries, exploiting
   // its coalescing rule (at most one entry per block).
   std::vector<std::vector<Addr>> pending_fifo_;

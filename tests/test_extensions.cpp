@@ -15,6 +15,8 @@ namespace {
 using core::Cpu;
 using core::Machine;
 
+/// Runs per-tid bodies supplied by the test. Each test allocates the shared
+/// region its bodies touch before the run, as a workload's setup would.
 class Script : public apps::Workload {
  public:
   std::function<sim::Task<void>(Machine&, Cpu&, int)> body;
@@ -34,12 +36,12 @@ TEST(RingOnlyReads, MissPaysDetectionDelay) {
     MachineConfig cfg;
     cfg.reads_start_on_star = dual;
     Machine m(cfg);
+    const Addr base = m.address_space().alloc_shared(64 * 257 * 64 + 64);
     Script s;
     double total = 0;
     int measured = 0;
-    s.body = [&](Machine& mach, Cpu& cpu, int tid) -> sim::Task<void> {
+    s.body = [&](Machine&, Cpu& cpu, int tid) -> sim::Task<void> {
       if (tid != 0) co_return;
-      Addr base = mach.address_space().alloc_shared(64 * 257 * 64 + 64);
       for (int i = 0; measured < 32; ++i) {
         Addr b = static_cast<Addr>(257) * i + 1;
         if (b % 16 == 0) continue;
@@ -89,10 +91,10 @@ TEST(Prefetch, StreamingReadsTriggerUsefulPrefetches) {
   MachineConfig cfg;
   cfg.sequential_prefetch = true;
   Machine m(cfg);
+  const Addr base = m.address_space().alloc_shared(64 * 1024);
   Script s;
-  s.body = [](Machine& mach, Cpu& cpu, int tid) -> sim::Task<void> {
+  s.body = [base](Machine&, Cpu& cpu, int tid) -> sim::Task<void> {
     if (tid != 0) co_return;
-    Addr base = mach.address_space().alloc_shared(64 * 1024);
     for (Addr a = 0; a < 32 * 1024; a += 8) {
       co_await cpu.read(base + a);
       co_await cpu.compute(20);
@@ -108,10 +110,10 @@ TEST(Prefetch, StreamingReadsTriggerUsefulPrefetches) {
 TEST(Prefetch, OffByDefault) {
   MachineConfig cfg;
   Machine m(cfg);
+  const Addr base = m.address_space().alloc_shared(16 * 1024);
   Script s;
-  s.body = [](Machine& mach, Cpu& cpu, int tid) -> sim::Task<void> {
+  s.body = [base](Machine&, Cpu& cpu, int tid) -> sim::Task<void> {
     if (tid != 0) co_return;
-    Addr base = mach.address_space().alloc_shared(16 * 1024);
     for (Addr a = 0; a < 8 * 1024; a += 64) co_await cpu.read(base + a);
   };
   m.run(s);

@@ -14,12 +14,19 @@ namespace {
 using core::Cpu;
 using core::Machine;
 
+constexpr std::size_t kScriptSharedBytes = 32 * 1024;
+
 class Script : public apps::Workload {
  public:
   std::function<sim::Task<void>(Machine&, Cpu&, int)> body;
   Machine* machine = nullptr;
   const char* name() const override { return "ln-script"; }
-  void setup(core::Machine& m) override { machine = &m; }
+  void setup(core::Machine& m) override {
+    machine = &m;
+    // The bodies address shared blocks directly from 0; allocate that
+    // region so every shared address the run touches is allocated.
+    m.address_space().alloc_shared(kScriptSharedBytes);
+  }
   sim::Task<void> run(Cpu& cpu, int tid) override {
     if (body) co_await body(*machine, cpu, tid);
   }

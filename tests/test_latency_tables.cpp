@@ -15,6 +15,8 @@ using core::Cpu;
 using core::Machine;
 
 /// A workload whose node-0 body is supplied by the test; other nodes idle.
+/// The test allocates the probed region before the run, as a workload's
+/// setup would (the coherence oracle sizes its table once setup is done).
 class Probe : public apps::Workload {
  public:
   std::function<sim::Task<void>(Machine&, Cpu&)> body;
@@ -42,11 +44,12 @@ double mean_cold_read_latency(SystemKind kind, int count = 64) {
   Probe probe;
   double total = 0;
   int measured = 0;
-  probe.body = [&](Machine& mach, Cpu& cpu) -> sim::Task<void> {
-    // Stride of 257 blocks: distinct L1/L2 sets (no evictions of previously
-    // fetched lines), distinct ring channels, rotating homes.
-    Addr base = mach.address_space().alloc_shared(
-        static_cast<std::size_t>(count) * 257 * 64 + 64);
+  // Stride of 257 blocks: distinct L1/L2 sets (no evictions of previously
+  // fetched lines), distinct ring channels, rotating homes. Skipping the
+  // reader's own blocks takes the loop past `count` strides.
+  const Addr base = m.address_space().alloc_shared(
+      static_cast<std::size_t>(2 * count) * 257 * 64);
+  probe.body = [&](Machine&, Cpu& cpu) -> sim::Task<void> {
     for (int i = 0; measured < count; ++i) {
       Addr b = static_cast<Addr>(257) * i + 1;
       if (b % 16 == 0) continue;  // skip blocks homed at the reading node
@@ -69,9 +72,9 @@ double mean_update_latency(SystemKind kind, int count = 32) {
   Machine m(config_for(kind));
   Probe probe;
   double total = 0;
-  probe.body = [&](Machine& mach, Cpu& cpu) -> sim::Task<void> {
-    Addr base = mach.address_space().alloc_shared(
-        static_cast<std::size_t>(count) * 257 * 64 + 64);
+  const Addr base = m.address_space().alloc_shared(
+      static_cast<std::size_t>(2 * count) * 257 * 64);
+  probe.body = [&](Machine&, Cpu& cpu) -> sim::Task<void> {
     int measured = 0;
     for (int i = 0; measured < count; ++i) {
       Addr b = static_cast<Addr>(257) * i + 1;
@@ -121,7 +124,7 @@ TEST(Table1, NetCacheSharedCacheHitIs46) {
     void setup(core::Machine& mm) override {
       machine = &mm;
       base = mm.address_space().alloc_shared(
-          static_cast<std::size_t>(count) * 17 * 64 + 4096);
+          static_cast<std::size_t>(2 * count) * 17 * 64);
       bar = &mm.make_barrier(mm.nodes());
     }
     std::vector<Addr> probe_addrs() const {

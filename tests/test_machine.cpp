@@ -16,6 +16,8 @@ namespace {
 using core::Cpu;
 using core::Machine;
 
+/// Runs per-tid bodies supplied by the test. Each test allocates the shared
+/// region its bodies touch before the run, as a workload's setup would.
 class Script : public apps::Workload {
  public:
   std::function<sim::Task<void>(Machine&, Cpu&, int)> body;
@@ -32,12 +34,9 @@ TEST(Machine, ReadCountersAreConsistent) {
   MachineConfig cfg;
   cfg.nodes = 8;
   Machine m(cfg);
+  const Addr base = m.address_space().alloc_shared(64 * 1024);
   Script s;
-  s.body = [](Machine& mach, Cpu& cpu, int tid) -> sim::Task<void> {
-    Addr base = 0;
-    if (tid == 0) {
-      base = mach.address_space().alloc_shared(64 * 1024);
-    }
+  s.body = [base](Machine&, Cpu& cpu, int tid) -> sim::Task<void> {
     for (int i = 0; i < 200; ++i) {
       co_await cpu.read(base + static_cast<Addr>((i * 7 + tid * 131) % 512) *
                                    64);
@@ -57,6 +56,7 @@ TEST(Machine, DeterministicAcrossRuns) {
     MachineConfig cfg;
     cfg.nodes = 8;
     Machine m(cfg);
+    m.address_space().alloc_shared(256 * 64);
     Script s;
     s.body = [](Machine&, Cpu& cpu, int tid) -> sim::Task<void> {
       for (int i = 0; i < 100; ++i) {
@@ -95,6 +95,7 @@ TEST(Machine, WriteBufferFullStallsProcessor) {
   cfg.nodes = 4;
   cfg.write_buffer_entries = 2;
   Machine m(cfg);
+  m.address_space().alloc_shared(33 * 64);
   Script s;
   s.body = [](Machine& mach, Cpu& cpu, int tid) -> sim::Task<void> {
     if (tid != 0) co_return;
@@ -116,6 +117,7 @@ TEST(Machine, SingleNodeMachineWorks) {
         SystemKind::kDmonUpdate, SystemKind::kDmonInvalidate}) {
     cfg.system = kind;
     Machine m(cfg);
+    m.address_space().alloc_shared(100 * 64);
     Script s;
     s.body = [](Machine&, Cpu& cpu, int) -> sim::Task<void> {
       for (int i = 0; i < 100; ++i) {
@@ -175,13 +177,13 @@ TEST(Machine, LeafAccessesRunWithoutCoroutineFrames) {
   sim::TdmaChannel slots(m.engine(), cfg.nodes, 1);
   Cycles miss_cycles = -1;
   Cycles stall_done = -1;
+  const Addr base = m.address_space().alloc_shared(9 * 4096);
   Script s;
   s.body = [&](Machine& mach, Cpu& cpu, int tid) -> sim::Task<void> {
     if (tid != 0) co_return;
     sim::Engine& eng = mach.engine();
     const sim::FrameArena& arena = sim::FrameArena::local();
     auto frames = [&] { return arena.fresh_allocations() + arena.reuses(); };
-    const Addr base = mach.address_space().alloc_shared(9 * 4096);
     Addr remote = base;
     while (mach.address_space().home(remote) == 0) remote += 64;
 

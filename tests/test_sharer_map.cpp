@@ -2,7 +2,9 @@
 // O(sharers) snoop-delivery fast path must be invisible — results stay
 // bit-identical to the NETCACHE_SHARER_TRACKING=0 full scan across systems,
 // apps and fault injection — while the SnoopStats counters account for every
-// probe taken or avoided.
+// probe taken or avoided. Verified runs take the same fast path, audit the
+// map at every delivery, and keep the oracle's delivery counters equal to
+// the full scan's.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -279,26 +281,72 @@ TEST(SharerIdentity, SplitL1BlocksStayIdentical) {
 
 // --- NETCACHE_VERIFY exactness audit --------------------------------------
 
-// Verified runs keep the full scan (oracle counters serialize) but audit the
-// map against actual L2 contents at every delivery; a desynchronized map
-// would abort via NC_ASSERT, so a passing verified run is the proof.
+// Verified runs take the O(sharers) fast path and audit the map (and the
+// oracle's presence bits) against actual L2 contents at every delivery; a
+// desynchronized map would abort via NC_ASSERT, so a passing verified run is
+// the proof.
 TEST(SharerAudit, VerifiedRunsAuditEveryDelivery) {
-  for (SystemKind system : {SystemKind::kNetCache, SystemKind::kLambdaNet,
-                            SystemKind::kDmonInvalidate}) {
+  struct Case {
+    SystemKind system;
+    int nodes;
+  };
+  // DMON-I stays at the test_verify matrix shape (4 nodes): its oracle
+  // tolerates I-SPEED's stale-sample race only there.
+  const Case cases[] = {{SystemKind::kNetCache, 16},
+                        {SystemKind::kLambdaNet, 16},
+                        {SystemKind::kDmonInvalidate, 4}};
+  for (const Case& c : cases) {
     RunOpts opts;
-    opts.system = system;
+    opts.system = c.system;
+    opts.nodes = c.nodes;
     opts.verify = true;
-    // Verified runs use the test_verify matrix shape (4 nodes, scale 0.2):
-    // the I-SPEED oracle tolerates its stale-sample race only there.
-    opts.nodes = 4;
     opts.scale = 0.2;
     RunSummary s = run_app("gauss", opts);
     EXPECT_TRUE(s.verified) << s.system;
     EXPECT_GT(s.snoop.deliveries, 0u) << s.system;
-    // The audit path performs (and counts) the full probe set.
-    EXPECT_EQ(s.snoop.probes,
-              s.snoop.deliveries * static_cast<std::uint64_t>(opts.nodes - 1));
-    EXPECT_EQ(s.snoop.probes_avoided, 0u);
+    // The fast path skips non-sharers on verified runs too.
+    EXPECT_GT(s.snoop.probes_avoided, 0u) << s.system;
+    EXPECT_EQ(s.snoop.probes + s.snoop.probes_avoided,
+              s.snoop.deliveries * static_cast<std::uint64_t>(c.nodes - 1))
+        << s.system;
+  }
+}
+
+// Skipped non-sharers still count: with faults off, every delivery hooks
+// the oracle for all nodes - 1 peers, exactly as the full scan did, so the
+// serialized OracleStats do not depend on which path delivered.
+TEST(SharerAudit, SkippedNonSharersStillCount) {
+  struct Case {
+    SystemKind system;
+    int nodes;
+  };
+  const Case cases[] = {
+      {SystemKind::kNetCache, 4},        {SystemKind::kNetCache, 16},
+      {SystemKind::kNetCacheNoRing, 4},  {SystemKind::kNetCacheNoRing, 16},
+      {SystemKind::kLambdaNet, 4},       {SystemKind::kLambdaNet, 16},
+      {SystemKind::kDmonUpdate, 4},      {SystemKind::kDmonUpdate, 16},
+      {SystemKind::kDmonInvalidate, 4}};
+  for (const char* app : {"gauss", "radix"}) {
+    for (const Case& c : cases) {
+      RunOpts opts;
+      opts.system = c.system;
+      opts.nodes = c.nodes;
+      opts.verify = true;
+      opts.scale = 0.2;
+      RunSummary s = run_app(app, opts);
+      ASSERT_GT(s.snoop.probes_avoided, 0u) << app << " " << s.system;
+      const std::uint64_t peers =
+          s.snoop.deliveries * static_cast<std::uint64_t>(c.nodes - 1);
+      if (c.system == SystemKind::kDmonInvalidate) {
+        EXPECT_EQ(s.oracle.invalidations_delivered, peers) << app;
+        EXPECT_EQ(s.oracle.updates_delivered, 0u) << app;
+      } else {
+        EXPECT_EQ(s.oracle.updates_delivered, peers)
+            << app << " " << s.system << " nodes=" << c.nodes;
+        EXPECT_EQ(s.oracle.invalidations_delivered, 0u)
+            << app << " " << s.system;
+      }
+    }
   }
 }
 

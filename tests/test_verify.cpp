@@ -110,6 +110,27 @@ TEST(Oracle, SummaryAndReportCarryOracleCounters) {
   EXPECT_NE(report.find("coherence oracle:"), std::string::npos) << report;
 }
 
+// The oracle's table spans the shared footprint rounded up to a whole ring
+// line, because a ring insert stamps every L2 block of its line. With the
+// 128-byte ring lines of the Section 5.3.2 variant, gauss's footprint ends
+// mid-line.
+TEST(Oracle, WideRingLinesRunClean) {
+  MachineConfig cfg = config_for(SystemKind::kNetCache);
+  cfg.nodes = 16;
+  cfg.ring.block_bytes = 128;
+  cfg.verify = true;
+  Machine machine(cfg);
+  apps::WorkloadParams params;
+  params.scale = 0.1;
+  auto workload = apps::make_workload("gauss", params);
+  RunSummary s = machine.run(*workload);
+  EXPECT_TRUE(s.verified);
+  EXPECT_GT(s.oracle.ring_checks, 0u);
+  EXPECT_NE(machine.address_space().shared_bytes_allocated() %
+                static_cast<std::size_t>(cfg.ring.block_bytes),
+            0u);
+}
+
 // The acceptance mutant: skip one update broadcast delivery (drop-update
 // with recovery off). The oracle must abort the run with a coherence
 // violation carrying its shadow-state dump — never a silent wrong result.
