@@ -83,9 +83,6 @@ Pass run_pass(const std::vector<sweep::Cell>& cells, int jobs) {
 
 int main(int argc, char** argv) {
   double scale = 1.0;
-  if (const char* env = std::getenv("NETCACHE_SWEEP_SCALE")) {
-    scale = std::atof(env);
-  }
   int jobs = 0;
   std::string cache_dir;
   for (int i = 1; i < argc; ++i) {
@@ -107,9 +104,9 @@ int main(int argc, char** argv) {
   }
   if (!cache_dir.empty()) {
     sweep::configure_shared_cache(cache_dir);
-  } else if (sweep::shared_cache() == nullptr) {
-    // No --cache and no NETCACHE_SWEEP_CACHE: this bench is pointless
-    // without a cache, so default to a directory under the cwd.
+  } else {
+    // This bench is pointless without a cache, so default to a directory
+    // under the cwd.
     sweep::configure_shared_cache("netcache-sweep-cache");
   }
   const sweep::ResultCache* cache = sweep::shared_cache();

@@ -212,7 +212,7 @@ int bench_main(int argc, char** argv,
                const std::vector<const Table*>& tables) {
   // Strip the shared sweep flags before google-benchmark sees (and rejects)
   // them; parsing and validation live in src/sweep/flags.cpp, shared with
-  // netcache_sim and netcache_sweepd.
+  // netcache_sim.
   int out = 1;
   sweep::SweepFlags flags;
   for (int i = 1; i < argc; ++i) {

@@ -5,9 +5,8 @@
 //
 // A bench binary declares its whole simulation grid up front (a SweepPlan
 // submitting cells), bench_main fans the cells out across worker threads
-// (--jobs=N / NETCACHE_BENCH_JOBS; 1 restores the sequential behavior), and
-// the google-benchmark bodies then read the finished summaries and fold them
-// into tables. Results are keyed by cell, so tables are bit-identical to a
+// (--jobs=N; 1 restores the sequential behavior), and the google-benchmark
+// bodies then read the finished summaries and fold them into tables. Results are keyed by cell, so tables are bit-identical to a
 // sequential run regardless of which worker finished first.
 #pragma once
 
@@ -113,26 +112,25 @@ class Table {
 /// Standard main body: run the declared sweep across worker threads, run
 /// benchmarks (which consume the cached summaries), then print the collected
 /// tables. If the NETCACHE_BENCH_CSV_DIR environment variable is set, each
-/// table is also written there as <sanitized-title>.csv. `--jobs=N` (or
-/// NETCACHE_BENCH_JOBS) sets the worker count; 1 runs sequentially.
-/// `--cache=DIR` points the sweep result cache at DIR (overriding the
-/// NETCACHE_SWEEP_CACHE environment variable); `--no-cache` disables it.
+/// table is also written there as <sanitized-title>.csv. `--jobs=N` sets
+/// the worker count (default: hardware threads); 1 runs sequentially.
+/// `--cache=DIR` points the sweep result cache at DIR (default: no cache).
 /// When caching is active, a hit/miss/store/skip line follows the sweep
 /// summary.
-/// `--isolate` (or NETCACHE_SWEEP_ISOLATE=1) runs every cell in its own
-/// supervised child process (`--cell-timeout=S`, `--cell-retries=N`,
-/// `--forensics=DIR` tune it): a crashed or hung cell is quarantined with
-/// its forensics printed, the healthy cells complete (and land in the
-/// cache, so a re-run resumes), and the binary exits nonzero without
-/// running the benchmark bodies. SIGINT/SIGTERM stop the sweep gracefully
-/// with a partial-grid summary and exit 128+signal.
+/// `--isolate` runs every cell in its own supervised child process
+/// (`--cell-timeout=S`, `--cell-retries=N`, `--forensics=DIR` tune it): a
+/// crashed or hung cell is quarantined with its forensics printed, the
+/// healthy cells complete (and land in the cache when one is set, so a
+/// re-run resumes), and the binary exits nonzero without running the
+/// benchmark bodies. SIGINT/SIGTERM stop the sweep gracefully with a
+/// partial-grid summary and exit 128+signal.
 int bench_main(int argc, char** argv,
                const std::vector<const Table*>& tables);
 
 /// The twelve applications in the paper's Table 4 order.
 const std::vector<std::string>& all_apps();
 
-/// Worker count bench_main will use (after --jobs / env parsing).
+/// Worker count bench_main will use (after --jobs parsing).
 int bench_jobs();
 
 // Microbenchmark probes for the latency tables (contention-free means over

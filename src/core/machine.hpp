@@ -56,9 +56,9 @@ class Machine {
   faults::FaultPlan* faults() { return faults_.get(); }
 
   /// Sharer-tracking directory (DESIGN.md section 16), or null when
-  /// tracking is off (config.sharer_tracking / NETCACHE_SHARER_TRACKING=0)
-  /// or run() has not wired it yet. Delivery paths fall back to the full
-  /// O(nodes) snoop scan whenever this is null.
+  /// tracking is off (config.sharer_tracking = false) or run() has not
+  /// wired it yet. Delivery paths fall back to the full O(nodes) snoop scan
+  /// whenever this is null.
   SharerMap* sharer_map() { return sharer_map_.get(); }
   /// Snoop-delivery host-cost counters, maintained by the delivery helpers
   /// on both the tracked and full-scan paths.

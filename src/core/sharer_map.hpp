@@ -3,7 +3,8 @@
 // so snoop delivery costs O(sharers) instead of probing every node's L2 on
 // every coherence commit. This is host-side bookkeeping, not a protocol
 // structure — simulated timing and all results are bit-identical with
-// tracking off (NETCACHE_SHARER_TRACKING=0 restores the full scan).
+// tracking off (MachineConfig::sharer_tracking = false runs the full scan,
+// the reference that tests and bench_node_scaling compare against).
 //
 // The directory is a dense table, not a hash: ceil(nodes / 64) bitmap words
 // per shared L2 block, indexed by block number. Shared addresses are dense

@@ -1,5 +1,6 @@
 #include "src/sweep/flags.hpp"
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -54,14 +55,10 @@ FlagParse parse_sweep_flag(const char* arg, SweepFlags* flags,
     flags->isolation.enabled = true;
     return FlagParse::kConsumed;
   }
-  if (std::strcmp(arg, "--no-cache") == 0) {
-    flags->no_cache = true;
-    return FlagParse::kConsumed;
-  }
   if (flag_value(arg, "--jobs", &v)) {
     long n = 0;
-    if (!strict_long(v, &n) || n < 1) {
-      return bad(error, "--jobs", v, "expected an integer >= 1");
+    if (!strict_long(v, &n) || n < 1 || n > INT_MAX) {
+      return bad(error, "--jobs", v, "expected an integer in 1..2147483647");
     }
     flags->jobs = static_cast<int>(n);
     return FlagParse::kConsumed;
@@ -81,8 +78,9 @@ FlagParse parse_sweep_flag(const char* arg, SweepFlags* flags,
   }
   if (flag_value(arg, "--cell-retries", &v)) {
     long n = 0;
-    if (!strict_long(v, &n) || n < 0) {
-      return bad(error, "--cell-retries", v, "expected an integer >= 0");
+    if (!strict_long(v, &n) || n < 0 || n > INT_MAX) {
+      return bad(error, "--cell-retries", v,
+                 "expected an integer in 0..2147483647");
     }
     flags->isolation.cell_retries = static_cast<int>(n);
     return FlagParse::kConsumed;
@@ -95,16 +93,8 @@ FlagParse parse_sweep_flag(const char* arg, SweepFlags* flags,
   return FlagParse::kNotSweepFlag;
 }
 
-int resolved_jobs(const SweepFlags& flags) {
-  return flags.jobs > 0 ? flags.jobs : default_jobs();
-}
-
 void apply_cache_flags(const SweepFlags& flags) {
-  if (flags.no_cache) {
-    disable_shared_cache();
-  } else if (!flags.cache_dir.empty()) {
-    configure_shared_cache(flags.cache_dir);
-  }
+  if (!flags.cache_dir.empty()) configure_shared_cache(flags.cache_dir);
 }
 
 std::string format_cache_stats() {
@@ -127,17 +117,14 @@ std::string format_cache_stats() {
 const char* sweep_flags_help() {
   return
       "  --jobs=N           sweep worker threads (or supervised children)\n"
-      "                     for multi-cell runs\n"
-      "                     (default: NETCACHE_BENCH_JOBS or hardware)\n"
+      "                     for multi-cell runs (default: hardware threads)\n"
       "  --cache=DIR        persistent sweep result cache: unchanged cells\n"
       "                     are served bit-identically from DIR instead of\n"
-      "                     re-simulated (also: NETCACHE_SWEEP_CACHE)\n"
-      "  --no-cache         ignore --cache and NETCACHE_SWEEP_CACHE\n"
+      "                     re-simulated (default: no cache)\n"
       "  --isolate          run every cell in its own supervised child\n"
       "                     process: crashes and livelocks are contained,\n"
       "                     the rest of the grid completes, and a re-run\n"
-      "                     re-executes only the failed cells (also:\n"
-      "                     NETCACHE_SWEEP_ISOLATE=1)\n"
+      "                     with --cache re-executes only the failed cells\n"
       "  --cell-timeout=S   wall-clock seconds per supervised cell attempt\n"
       "                     before SIGKILL, doubled per retry (default 900;\n"
       "                     0 = none)\n"

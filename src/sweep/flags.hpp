@@ -1,12 +1,10 @@
 // Shared command-line surface for every sweep front end.
 //
-// bench_main, netcache_sim, and netcache_sweepd all drive the same sweep
-// machinery (worker pool, result cache, supervised isolation) and used to
-// re-implement the same seven flags with drifting validation. This module is
-// the single definition: one parser consuming "--name=value" arguments, one
-// cache-flag precedence rule, one cache-traffic summary line, and one usage
-// block — so the three binaries stay byte-compatible in how a grid is
-// configured.
+// bench_main and netcache_sim both drive the same sweep machinery (worker
+// pool, result cache, supervised isolation). This module is the single
+// definition of their shared flags: one parser consuming "--name=value"
+// arguments, one cache-traffic summary line, and one usage block, so the
+// binaries configure a grid the same way.
 #pragma once
 
 #include <string>
@@ -15,14 +13,12 @@
 
 namespace netcache::sweep {
 
-/// The flags every sweep-driving binary shares. Zero-initialized fields mean
-/// "unset — resolve the default lazily" (default_jobs(), the
-/// NETCACHE_SWEEP_CACHE environment variable).
+/// The flags every sweep-driving binary shares. Defaults: default_jobs()
+/// workers, no result cache, in-process execution.
 struct SweepFlags {
   int jobs = 0;           // 0 = default_jobs()
-  std::string cache_dir;  // empty = NETCACHE_SWEEP_CACHE
-  bool no_cache = false;
-  IsolationOptions isolation = default_isolation();
+  std::string cache_dir;  // empty = no result cache
+  IsolationOptions isolation;
 };
 
 /// Outcome of offering one argv entry to the shared parser.
@@ -33,17 +29,13 @@ enum class FlagParse {
 };
 
 /// Tries to consume one argument as a shared sweep flag: --jobs=N,
-/// --cache=DIR, --no-cache, --isolate, --cell-timeout=S, --cell-retries=N,
+/// --cache=DIR, --isolate, --cell-timeout=S, --cell-retries=N,
 /// --forensics=DIR.
 FlagParse parse_sweep_flag(const char* arg, SweepFlags* flags,
                            std::string* error);
 
-/// Resolved worker count: flags.jobs or default_jobs().
-int resolved_jobs(const SweepFlags& flags);
-
-/// Applies the cache flags to the process-wide shared cache:
-/// --no-cache beats --cache beats the NETCACHE_SWEEP_CACHE environment
-/// variable (which shared_cache() reads lazily when neither flag is given).
+/// Opens the process-wide shared cache at flags.cache_dir (--cache=DIR);
+/// without --cache, caching stays off.
 void apply_cache_flags(const SweepFlags& flags);
 
 /// One-line "cache: H hit(s), M miss(es), ..." traffic summary for the

@@ -2,15 +2,12 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <mutex>
-#include <vector>
 
 #include "netcache_version.hpp"
 #include "src/common/config.hpp"
@@ -114,13 +111,6 @@ ResultCache::ResultCache(std::string dir, std::string version)
   std::filesystem::create_directories(dir_, ec);
   // A failure here (read-only parent, bad path) surfaces as store_errors /
   // misses later; the cache must never take the simulation down with it.
-  if (const char* env = std::getenv("NETCACHE_SWEEP_CACHE_MAX_MB")) {
-    char* end = nullptr;
-    unsigned long long mb = std::strtoull(env, &end, 10);
-    if (end != env && *end == '\0') {
-      max_bytes_.store(mb * 1024ull * 1024ull, std::memory_order_relaxed);
-    }
-  }
 }
 
 bool ResultCache::cacheable(const Cell& cell) {
@@ -334,76 +324,6 @@ void ResultCache::store(const Cell& cell, const core::RunSummary& summary) {
   if (!ok) return fail();
   if (std::rename(temp.c_str(), entry_path(key).c_str()) != 0) return fail();
   stores_.fetch_add(1, std::memory_order_relaxed);
-  maybe_gc();
-}
-
-void ResultCache::set_max_bytes(std::uint64_t bytes) {
-  max_bytes_.store(bytes, std::memory_order_relaxed);
-}
-
-std::uint64_t ResultCache::max_bytes() const {
-  return max_bytes_.load(std::memory_order_relaxed);
-}
-
-void ResultCache::maybe_gc() {
-  if (max_bytes_.load(std::memory_order_relaxed) == 0) return;
-  if (gc_tick_.fetch_add(1, std::memory_order_relaxed) % kGcStoreInterval !=
-      0) {
-    return;
-  }
-  gc_now();
-}
-
-void ResultCache::gc_now() {
-  const std::uint64_t cap = max_bytes_.load(std::memory_order_relaxed);
-  if (cap == 0) return;
-
-  struct Entry {
-    std::filesystem::file_time_type mtime;
-    std::uint64_t size = 0;
-    std::filesystem::path path;
-  };
-  std::vector<Entry> entries;
-  std::uint64_t total = 0;
-  std::error_code ec;
-  for (std::filesystem::directory_iterator it(dir_, ec), end;
-       !ec && it != end; it.increment(ec)) {
-    // Completed entries only: "<keyhex>.ncr". A writer's
-    // "<keyhex>.ncr.tmp.<pid>.<n>" has a different extension and is
-    // additionally excluded by the ".tmp." check — GC must never race the
-    // temp-write half of another process's atomic store.
-    const std::filesystem::path& p = it->path();
-    if (p.extension() != ".ncr") continue;
-    if (p.filename().string().find(".tmp.") != std::string::npos) continue;
-    std::error_code fec;
-    if (!it->is_regular_file(fec) || fec) continue;
-    Entry e;
-    e.size = static_cast<std::uint64_t>(it->file_size(fec));
-    if (fec) continue;
-    e.mtime = it->last_write_time(fec);
-    if (fec) continue;
-    e.path = p;
-    total += e.size;
-    entries.push_back(std::move(e));
-  }
-  if (total <= cap) return;
-
-  // Oldest first; ties break on path so concurrent collectors agree.
-  std::sort(entries.begin(), entries.end(), [](const Entry& a,
-                                               const Entry& b) {
-    if (a.mtime != b.mtime) return a.mtime < b.mtime;
-    return a.path < b.path;
-  });
-  for (const Entry& e : entries) {
-    if (total <= cap) break;
-    std::error_code rec;
-    if (std::filesystem::remove(e.path, rec) && !rec) {
-      evictions_.fetch_add(1, std::memory_order_relaxed);
-    }
-    // Count the bytes as gone either way: a remove that failed because a
-    // concurrent collector got there first still freed the space.
-    total -= std::min(total, e.size);
-  }
 }
 
 CacheStats ResultCache::stats() const {
@@ -413,44 +333,29 @@ CacheStats ResultCache::stats() const {
   s.stores = stores_.load(std::memory_order_relaxed);
   s.skips = skips_.load(std::memory_order_relaxed);
   s.store_errors = store_errors_.load(std::memory_order_relaxed);
-  s.evictions = evictions_.load(std::memory_order_relaxed);
   return s;
 }
 
 namespace {
 
-enum class SharedState { kUnresolved, kDisabled, kConfigured };
-
 std::mutex g_shared_mutex;
-SharedState g_shared_state = SharedState::kUnresolved;
 std::unique_ptr<ResultCache> g_shared_cache;
 
 }  // namespace
 
 ResultCache* shared_cache() {
   std::lock_guard<std::mutex> lock(g_shared_mutex);
-  if (g_shared_state == SharedState::kUnresolved) {
-    const char* dir = std::getenv("NETCACHE_SWEEP_CACHE");
-    if (dir != nullptr && dir[0] != '\0') {
-      g_shared_cache = std::make_unique<ResultCache>(dir);
-      g_shared_state = SharedState::kConfigured;
-    } else {
-      g_shared_state = SharedState::kDisabled;
-    }
-  }
   return g_shared_cache.get();
 }
 
 void configure_shared_cache(const std::string& dir) {
   std::lock_guard<std::mutex> lock(g_shared_mutex);
   g_shared_cache = std::make_unique<ResultCache>(dir);
-  g_shared_state = SharedState::kConfigured;
 }
 
 void disable_shared_cache() {
   std::lock_guard<std::mutex> lock(g_shared_mutex);
   g_shared_cache.reset();
-  g_shared_state = SharedState::kDisabled;
 }
 
 }  // namespace netcache::sweep

@@ -48,7 +48,6 @@ struct CacheStats {
   std::uint64_t stores = 0;      // entries written
   std::uint64_t skips = 0;       // uncacheable cells (custom workloads)
   std::uint64_t store_errors = 0;  // I/O failures while writing (non-fatal)
-  std::uint64_t evictions = 0;   // entries removed by the size-cap GC
 };
 
 /// The running build's version fingerprint: "git HEAD[+dirty diff hash]" +
@@ -89,52 +88,24 @@ class ResultCache {
   /// Snapshot of the counters (safe to call while workers run).
   CacheStats stats() const;
 
-  // --- Size-cap GC ---------------------------------------------------------
-  // Best-effort bound on on-disk footprint, configured via the
-  // NETCACHE_SWEEP_CACHE_MAX_MB environment variable (or set_max_bytes for
-  // tests; 0 = unlimited). When the sum of *.ncr entry sizes exceeds the
-  // cap, entries are evicted oldest-mtime-first until it fits. GC only ever
-  // unlinks completed ".ncr" entries — never a writer's ".tmp." file — and
-  // is safe under concurrent readers: an entry vanishing mid-lookup is just
-  // a miss (the reader re-simulates), exactly like a corrupt entry.
-
-  /// Overrides the size cap (bytes; 0 disables GC). Tests use this instead
-  /// of the environment variable.
-  void set_max_bytes(std::uint64_t bytes);
-  std::uint64_t max_bytes() const;
-
-  /// Enforces the cap immediately. store() calls this every
-  /// kGcStoreInterval stores (scanning the directory on every store would
-  /// turn O(1) appends into O(n) scans); tests call it directly.
-  void gc_now();
-
-  /// Stores between automatic gc_now() sweeps.
-  static constexpr std::uint64_t kGcStoreInterval = 32;
-
   const std::string& dir() const { return dir_; }
   const std::string& version() const { return version_; }
 
  private:
   std::string entry_path(const std::string& key) const;
-  void maybe_gc();
 
   std::string dir_;
   std::string version_;
-  std::atomic<std::uint64_t> max_bytes_{0};
-  std::atomic<std::uint64_t> gc_tick_{0};
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> stores_{0};
   std::atomic<std::uint64_t> skips_{0};
   std::atomic<std::uint64_t> store_errors_{0};
-  std::atomic<std::uint64_t> evictions_{0};
 };
 
-/// The process-wide cache consulted by run_cell(). Resolution order:
-///   1. disable_shared_cache()            (--no-cache)  -> null
-///   2. configure_shared_cache(dir)       (--cache=DIR)
-///   3. NETCACHE_SWEEP_CACHE environment variable, read on first use
-///   4. otherwise                         -> null (caching off)
+/// The process-wide cache consulted by run_cell(): the one opened by the last
+/// configure_shared_cache(dir) (--cache=DIR), or null (caching off) before
+/// that and after disable_shared_cache().
 ResultCache* shared_cache();
 void configure_shared_cache(const std::string& dir);
 void disable_shared_cache();

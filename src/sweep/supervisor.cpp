@@ -65,39 +65,6 @@ int stop_signal() { return g_stop_signal; }
 void request_stop(int sig) { g_stop_signal = sig; }
 void clear_stop() { g_stop_signal = 0; }
 
-// --- Option defaults --------------------------------------------------------
-
-namespace {
-
-bool env_number(const char* name, double* out) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return false;
-  char* end = nullptr;
-  double v = std::strtod(env, &end);
-  if (end == env || *end != '\0' || v < 0) return false;
-  *out = v;
-  return true;
-}
-
-}  // namespace
-
-IsolationOptions default_isolation() {
-  IsolationOptions opts;
-  if (const char* env = std::getenv("NETCACHE_SWEEP_ISOLATE")) {
-    opts.enabled = std::strcmp(env, "1") == 0;
-  }
-  double v = 0;
-  if (env_number("NETCACHE_CELL_TIMEOUT", &v)) opts.cell_timeout_s = v;
-  if (env_number("NETCACHE_CELL_RETRIES", &v)) {
-    opts.cell_retries = static_cast<int>(v);
-  }
-  if (env_number("NETCACHE_CELL_BACKOFF", &v)) opts.backoff_s = v;
-  if (const char* env = std::getenv("NETCACHE_FORENSICS_DIR")) {
-    opts.forensics_dir = env;
-  }
-  return opts;
-}
-
 // --- Child side -------------------------------------------------------------
 
 namespace {
@@ -149,6 +116,8 @@ bool write_all(int fd, const char* data, std::size_t n) {
 
 using Clock = std::chrono::steady_clock;
 
+/// One forked cell attempt, parent side. EOF on `fd` means the attempt
+/// finished (harvest with decode_cell_frame + waitpid).
 struct Attempt {
   pid_t pid = -1;
   int fd = -1;  // result-pipe read end (nonblocking)
@@ -158,6 +127,8 @@ struct Attempt {
   bool timed_out = false;
   Clock::time_point deadline;
   std::string buf;
+  /// Private file capturing the child's stderr (FailureReporter forensics);
+  /// the harvester reads the tail and unlinks it.
   std::string stderr_path;
 };
 
@@ -167,8 +138,8 @@ struct Retry {
   Clock::time_point ready;
 };
 
-}  // namespace
-
+/// Decodes one complete child result frame. False on a partial or garbled
+/// buffer: a process-level failure of the attempt.
 bool decode_cell_frame(const std::string& buf, CellResult* out) {
   const std::string magic = std::string(kFrameMagic) + "\n";
   if (buf.compare(0, magic.size(), magic) != 0) return false;
@@ -199,8 +170,8 @@ bool decode_cell_frame(const std::string& buf, CellResult* out) {
   return true;
 }
 
+/// Last `max_bytes` of the file at `path` ("" when unreadable).
 std::string read_stderr_tail(const std::string& path, std::size_t max_bytes) {
-  // (exported: the serving daemon harvests worker stderr the same way)
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return {};
   std::fseek(f, 0, SEEK_END);
@@ -216,7 +187,7 @@ std::string read_stderr_tail(const std::string& path, std::size_t max_bytes) {
   return out;
 }
 
-static std::string sanitize_label(const std::string& label) {
+std::string sanitize_label(const std::string& label) {
   std::string out;
   for (char c : label) {
     out += std::isalnum(static_cast<unsigned char>(c)) ? c : '-';
@@ -224,6 +195,8 @@ static std::string sanitize_label(const std::string& label) {
   return out;
 }
 
+/// Human-readable diagnosis of a process-level failure (signal, exit code,
+/// timeout, attempts) with the harvested stderr tail appended.
 std::string describe_process_failure(const FailureRecord& rec) {
   char buf[160];
   if (rec.timed_out) {
@@ -269,7 +242,7 @@ void write_forensics(const std::string& dir, const Cell& cell,
   std::fclose(f);
 }
 
-static std::string stderr_capture_path(std::size_t cell, int attempt) {
+std::string stderr_capture_path(std::size_t cell, int attempt) {
   const char* tmp = std::getenv("TMPDIR");
   char buf[256];
   std::snprintf(buf, sizeof(buf), "%s/netcache-cell-%ld-%zu-%d.stderr",
@@ -278,20 +251,24 @@ static std::string stderr_capture_path(std::size_t cell, int attempt) {
   return buf;
 }
 
-bool spawn_cell_child(const Cell& cell, std::size_t index, int attempt,
-                      const std::vector<int>& close_in_child, ChildProc* out,
-                      std::string* error) {
+/// Forks a child running `cell` (via the run_cell entrypoint) and fills
+/// a->pid, a->fd and a->stderr_path; a->cell and a->number name the stderr
+/// capture file. The child closes the result pipes of the `active` attempts
+/// so it holds no other child's pipe open. Returns false (with *error set)
+/// when pipe() or fork() fails.
+bool spawn_cell_child(const Cell& cell, const std::vector<Attempt>& active,
+                      Attempt* a, std::string* error) {
   int fds[2];
   if (::pipe(fds) != 0) {
-    if (error != nullptr) *error = "supervisor: pipe() failed";
+    *error = "supervisor: pipe() failed";
     return false;
   }
-  const std::string err_path = stderr_capture_path(index, attempt);
+  const std::string err_path = stderr_capture_path(a->cell, a->number);
   pid_t pid = ::fork();
   if (pid < 0) {
     ::close(fds[0]);
     ::close(fds[1]);
-    if (error != nullptr) *error = "supervisor: fork() failed";
+    *error = "supervisor: fork() failed";
     return false;
   }
   if (pid == 0) {
@@ -302,7 +279,7 @@ bool spawn_cell_child(const Cell& cell, std::size_t index, int attempt,
     std::signal(SIGTERM, SIG_DFL);
     std::signal(SIGPIPE, SIG_DFL);
     ::close(fds[0]);
-    for (int fd : close_in_child) ::close(fd);
+    for (const Attempt& other : active) ::close(other.fd);
     int err_fd = ::open(err_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0600);
     if (err_fd >= 0) {
       ::dup2(err_fd, 2);
@@ -313,11 +290,13 @@ bool spawn_cell_child(const Cell& cell, std::size_t index, int attempt,
   // Parent.
   ::close(fds[1]);
   ::fcntl(fds[0], F_SETFL, O_NONBLOCK);
-  out->pid = pid;
-  out->fd = fds[0];
-  out->stderr_path = err_path;
+  a->pid = pid;
+  a->fd = fds[0];
+  a->stderr_path = err_path;
   return true;
 }
+
+}  // namespace
 
 double attempt_timeout_s(const IsolationOptions& opts, int attempt) {
   if (opts.cell_timeout_s <= 0) return 0;
@@ -348,23 +327,15 @@ std::vector<CellResult> run_supervised(const std::vector<Cell>& cells,
   std::vector<Retry> delayed;
 
   auto spawn_attempt = [&](std::size_t cell_index, int attempt_number) {
-    std::vector<int> close_in_child;
-    close_in_child.reserve(active.size());
-    for (const Attempt& a : active) close_in_child.push_back(a.fd);
-    ChildProc child;
+    Attempt a;
+    a.cell = cell_index;
+    a.number = attempt_number;
     std::string spawn_error;
-    if (!spawn_cell_child(cells[cell_index], cell_index, attempt_number,
-                          close_in_child, &child, &spawn_error)) {
+    if (!spawn_cell_child(cells[cell_index], active, &a, &spawn_error)) {
       results[cell_index].ok = false;
       results[cell_index].error = spawn_error;
       return;
     }
-    Attempt a;
-    a.pid = child.pid;
-    a.fd = child.fd;
-    a.cell = cell_index;
-    a.number = attempt_number;
-    a.stderr_path = child.stderr_path;
     // Retries get an escalated wall-clock budget (x2 per attempt, capped):
     // a slow-but-correct cell should not burn its whole retry budget on
     // identical SIGKILLs.

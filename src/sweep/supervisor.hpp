@@ -71,50 +71,6 @@ std::vector<CellResult> run_supervised(const std::vector<Cell>& cells,
                                        const IsolationOptions& opts,
                                        ResultCache* cache);
 
-// --- Supervision hooks (shared with the serving daemon, src/serve/) --------
-// run_supervised() and netcache_sweepd drive the same child protocol: fork a
-// worker that runs exactly one cell and writes one length-prefixed result
-// frame (the result cache's %a hex-float RunSummary serialization) over a
-// pipe. Exporting the pieces keeps the two supervisors byte-compatible: a
-// served result is produced by the very same entrypoint as an --isolate run.
-
-/// One forked cell attempt, parent side. `fd` is the nonblocking read end of
-/// the result pipe; EOF means the attempt finished (harvest with
-/// decode_cell_frame + waitpid).
-struct ChildProc {
-  pid_t pid = -1;
-  int fd = -1;
-  /// Private file capturing the child's stderr (FailureReporter forensics);
-  /// the harvester reads the tail and unlinks it.
-  std::string stderr_path;
-};
-
-/// Forks a child running `cell` (via the run_cell entrypoint) and fills
-/// `out`. `index`/`attempt` only name the stderr capture file.
-/// `close_in_child` lists parent fds the child must not inherit holding open
-/// (other result pipes, listening sockets, client connections). Returns
-/// false (with *error set) when pipe() or fork() fails.
-bool spawn_cell_child(const Cell& cell, std::size_t index, int attempt,
-                      const std::vector<int>& close_in_child, ChildProc* out,
-                      std::string* error);
-
-/// Decodes one complete child result frame. False on a partial or garbled
-/// buffer — a process-level failure of the attempt.
-bool decode_cell_frame(const std::string& buf, CellResult* out);
-
-/// Human-readable diagnosis of a process-level failure (signal, exit code,
-/// timeout, attempts) with the harvested stderr tail appended.
-std::string describe_process_failure(const FailureRecord& rec);
-
-/// Last `max_bytes` of the file at `path` ("" when unreadable).
-std::string read_stderr_tail(const std::string& path, std::size_t max_bytes);
-
-/// Writes one per-attempt forensics file under `dir`: status header plus the
-/// child's full captured stderr.
-void write_forensics(const std::string& dir, const Cell& cell,
-                     std::size_t index, const FailureRecord& rec,
-                     const std::string& stderr_path);
-
 /// Wall-clock budget for attempt number `attempt` (1-based): the base
 /// cell_timeout_s doubled per retry and capped at 8x. A slow-but-correct
 /// cell that times out is therefore not SIGKILLed identically on every

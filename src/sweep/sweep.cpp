@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <deque>
 #include <mutex>
 #include <thread>
@@ -63,11 +62,6 @@ CellResult run_cell(const Cell& cell, ResultCache* cache) {
 }
 
 int default_jobs() {
-  if (const char* env = std::getenv("NETCACHE_BENCH_JOBS")) {
-    char* end = nullptr;
-    long n = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && n >= 1) return static_cast<int>(n);
-  }
   unsigned hw = std::thread::hardware_concurrency();
   return hw >= 1 ? static_cast<int>(hw) : 1;
 }
@@ -156,8 +150,7 @@ void run_tasks(int jobs, std::vector<std::function<void()>>& tasks) {
 }
 
 SweepDriver::SweepDriver(int jobs)
-    : jobs_(jobs <= 0 ? default_jobs() : jobs),
-      isolation_(default_isolation()) {}
+    : jobs_(jobs <= 0 ? default_jobs() : jobs) {}
 
 std::size_t SweepDriver::submit(Cell cell) {
   NC_ASSERT(!ran_, "SweepDriver::submit after run");

@@ -87,9 +87,9 @@ struct CellResult {
   FailureRecord failure;
 };
 
-/// Knobs for the opt-in process-isolated execution mode (--isolate /
-/// NETCACHE_SWEEP_ISOLATE=1): each cell attempt runs in a forked child, so a
-/// crashing or livelocked cell is contained and the grid completes.
+/// Knobs for the opt-in process-isolated execution mode (--isolate): each
+/// cell attempt runs in a forked child, so a crashing or livelocked cell is
+/// contained and the grid completes. Default-constructed = in-process.
 struct IsolationOptions {
   bool enabled = false;
   /// Wall-clock budget per attempt in seconds; expiry SIGKILLs the child and
@@ -107,26 +107,20 @@ struct IsolationOptions {
   std::string forensics_dir;
 };
 
-/// Environment-derived defaults (read once per call): NETCACHE_SWEEP_ISOLATE
-/// (=1 enables), NETCACHE_CELL_TIMEOUT (seconds), NETCACHE_CELL_RETRIES,
-/// NETCACHE_CELL_BACKOFF (seconds), NETCACHE_FORENSICS_DIR.
-IsolationOptions default_isolation();
-
 class ResultCache;
 
 /// Builds the machine and workload for `cell` and runs it to completion on
 /// the calling thread. Never throws: failures are captured in the result.
 /// Consults the process-wide result cache (shared_cache(), configured via
-/// --cache / NETCACHE_SWEEP_CACHE): a hit skips the simulation entirely, a
-/// verified miss populates the cache on completion.
+/// --cache): a hit skips the simulation entirely, a verified miss populates
+/// the cache on completion.
 CellResult run_cell(const Cell& cell);
 
 /// Same, against an explicit cache (null = always simulate, never store).
 CellResult run_cell(const Cell& cell, ResultCache* cache);
 
-/// Worker count used when the caller passes jobs <= 0: the
-/// NETCACHE_BENCH_JOBS environment variable if set to a positive integer,
-/// otherwise std::thread::hardware_concurrency() (at least 1).
+/// Worker count used when the caller passes jobs <= 0:
+/// std::thread::hardware_concurrency() (at least 1).
 int default_jobs();
 
 /// Runs `tasks` (independent closures) across `jobs` worker threads with
@@ -149,8 +143,8 @@ class SweepDriver {
   std::size_t size() const { return cells_.size(); }
   int jobs() const { return jobs_; }
 
-  /// Selects the execution mode for run(). Defaults to default_isolation()
-  /// (NETCACHE_SWEEP_ISOLATE & friends); call before run() to override.
+  /// Selects the execution mode for run() (default: in-process); call before
+  /// run().
   void set_isolation(IsolationOptions opts) { isolation_ = std::move(opts); }
   const IsolationOptions& isolation() const { return isolation_; }
 

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include "src/common/sim_error.hpp"
+#include "src/core/machine.hpp"
 
 namespace netcache {
 namespace {
@@ -46,6 +48,18 @@ TEST(Config, ValidateRejectsBadGeometry) {
   MachineConfig cfg;
   cfg.l2.block_bytes = 48;  // not a power of two
   expect_rejected(cfg, "l2.block_bytes", "power");
+  // 0 and -16384 divide evenly by block x ways, but hold no set.
+  for (int bytes : {0, -16384}) {
+    cfg = MachineConfig{};
+    cfg.l2.size_bytes = bytes;
+    expect_rejected(cfg, "l2.size_bytes", "at least one set");
+    cfg = MachineConfig{};
+    cfg.l1.size_bytes = bytes;
+    expect_rejected(cfg, "l1.size_bytes", "at least one set");
+  }
+  cfg = MachineConfig{};
+  cfg.l2.associativity = 0;
+  expect_rejected(cfg, "l2.associativity", "at least one way");
 }
 
 TEST(Config, ValidateRejectsL2BlockWiderThanWordMask) {
@@ -82,12 +96,46 @@ TEST(Config, ValidateRejectsOutOfRangeScalars) {
   MachineConfig cfg;
   cfg.nodes = 0;
   expect_rejected(cfg, "nodes", "at least one node");
+  cfg.nodes = -4;
+  expect_rejected(cfg, "nodes", "at least one node");
   cfg = MachineConfig{};
   cfg.gbit_per_s = -2.5;
   expect_rejected(cfg, "gbit_per_s", "positive");
   cfg = MachineConfig{};
   cfg.write_buffer_entries = 0;
   expect_rejected(cfg, "write_buffer_entries", "cannot be empty");
+  cfg = MachineConfig{};
+  cfg.mem_block_read_cycles = -5;
+  expect_rejected(cfg, "mem_block_read_cycles", "negative");
+
+  // NetCache's ring round trip is llround(40 x 10 / rate): 1 cycle at 800
+  // Gbit/s, 0 above it. Systems without the ring take any positive rate.
+  cfg = MachineConfig{};
+  cfg.gbit_per_s = 800.0;
+  cfg.validate();
+  for (double rate : {1000.0, std::numeric_limits<double>::infinity()}) {
+    cfg.system = SystemKind::kNetCache;
+    cfg.gbit_per_s = rate;
+    expect_rejected(cfg, "gbit_per_s", "round trip");
+  }
+  cfg.gbit_per_s = 1000.0;
+  cfg.system = SystemKind::kLambdaNet;
+  cfg.validate();
+}
+
+TEST(Config, MachineValidatesBeforeBuildingAnything) {
+  // The address space and per-node stats are built from the config; a bad
+  // node count must surface as a ConfigError, not an abort in a member.
+  for (int nodes : {0, -4}) {
+    MachineConfig cfg;
+    cfg.nodes = nodes;
+    try {
+      core::Machine machine(cfg);
+      FAIL() << "expected ConfigError for nodes = " << nodes;
+    } catch (const ConfigError& e) {
+      EXPECT_EQ(e.key(), "nodes");
+    }
+  }
 }
 
 TEST(Config, ValidateRejectsMachinesWiderThanPrivateNodeField) {

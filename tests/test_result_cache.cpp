@@ -410,111 +410,6 @@ TEST_F(ResultCacheTest, ReadOnlyDirectoryCountsStoreErrorsKeepsHits) {
   fs::permissions(dir(), fs::perms::owner_all, fs::perm_options::replace);
 }
 
-// --- Size-cap GC -----------------------------------------------------------
-
-/// Distinct cacheable cells (each mem latency is its own key).
-sweep::Cell gc_cell(int i) {
-  sweep::Cell c = fast_cell();
-  const Cycles mem = 100 + 8 * i;
-  c.tweak = [mem](MachineConfig& cfg) { cfg.mem_block_read_cycles = mem; };
-  return c;
-}
-
-core::RunSummary gc_summary(int i) {
-  core::RunSummary s;
-  s.app = "sor";
-  s.run_time = 1000 + static_cast<Cycles>(i);
-  s.verified = true;
-  return s;
-}
-
-TEST_F(ResultCacheTest, GcEvictsOldestEntriesFirstDownToTheCap) {
-  sweep::ResultCache cache(dir());
-  for (int i = 0; i < 8; ++i) {
-    cache.store(gc_cell(i), gc_summary(i));
-    // Distinct mtimes so the eviction order is deterministic (filesystem
-    // timestamps can be coarse).
-    const fs::path path = entry_path(cache.key_for(gc_cell(i)));
-    const auto stamp = fs::file_time_type::clock::now() -
-                       std::chrono::seconds(100 - i);
-    fs::last_write_time(path, stamp);
-  }
-  ASSERT_EQ(cache.stats().stores, 8u);
-
-  std::uintmax_t total = 0, per_entry = 0;
-  for (const auto& entry : fs::directory_iterator(dir())) {
-    per_entry = entry.file_size();
-    total += entry.file_size();
-  }
-  ASSERT_GT(per_entry, 0u);
-
-  // Cap at roughly half the footprint: the oldest entries go, newest stay.
-  cache.set_max_bytes(total - 4 * per_entry);
-  cache.gc_now();
-  EXPECT_GE(cache.stats().evictions, 4u);
-
-  core::RunSummary out;
-  EXPECT_FALSE(cache.lookup(gc_cell(0), &out));  // oldest: evicted
-  EXPECT_FALSE(cache.lookup(gc_cell(1), &out));
-  EXPECT_TRUE(cache.lookup(gc_cell(7), &out));  // newest: kept
-  EXPECT_EQ(out.run_time, 1007u);
-
-  std::uintmax_t after = 0;
-  for (const auto& entry : fs::directory_iterator(dir())) {
-    after += entry.file_size();
-  }
-  EXPECT_LE(after, cache.max_bytes());
-
-  // An evicted entry is a plain miss: the next run re-simulates and
-  // re-stores, never errors.
-  cache.store(gc_cell(0), gc_summary(0));
-  EXPECT_TRUE(cache.lookup(gc_cell(0), &out));
-}
-
-TEST_F(ResultCacheTest, GcNeverTouchesTempFilesOrForeignFiles) {
-  sweep::ResultCache cache(dir());
-  cache.store(gc_cell(0), gc_summary(0));
-
-  // A concurrent writer's in-progress temp file and an unrelated file: both
-  // must survive any GC, no matter how tight the cap.
-  const fs::path temp = fs::path(dir()) / "deadbeef.ncr.tmp.1234.7";
-  const fs::path foreign = fs::path(dir()) / "README.txt";
-  { std::ofstream(temp, std::ios::binary) << std::string(1 << 16, 'x'); }
-  { std::ofstream(foreign, std::ios::binary) << "keep me\n"; }
-
-  cache.set_max_bytes(1);  // evict every completed entry
-  cache.gc_now();
-  EXPECT_TRUE(fs::exists(temp));
-  EXPECT_TRUE(fs::exists(foreign));
-  core::RunSummary out;
-  EXPECT_FALSE(cache.lookup(gc_cell(0), &out));
-  EXPECT_GE(cache.stats().evictions, 1u);
-}
-
-TEST_F(ResultCacheTest, GcRunsAutomaticallyEveryStoreInterval) {
-  sweep::ResultCache cache(dir());
-  cache.set_max_bytes(1);  // any entry is over budget
-  const int rounds =
-      static_cast<int>(sweep::ResultCache::kGcStoreInterval) + 1;
-  for (int i = 0; i < rounds; ++i) {
-    cache.store(gc_cell(i), gc_summary(i));
-  }
-  // At least one automatic sweep fired within kGcStoreInterval stores.
-  EXPECT_GE(cache.stats().evictions, 1u);
-}
-
-TEST_F(ResultCacheTest, GcDisabledByDefaultKeepsEverything) {
-  sweep::ResultCache cache(dir());
-  EXPECT_EQ(cache.max_bytes(), 0u);
-  for (int i = 0; i < 4; ++i) cache.store(gc_cell(i), gc_summary(i));
-  cache.gc_now();
-  EXPECT_EQ(cache.stats().evictions, 0u);
-  core::RunSummary out;
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(cache.lookup(gc_cell(i), &out)) << i;
-  }
-}
-
 TEST_F(ResultCacheTest, SummarySerializationRoundTripsExactly) {
   core::RunSummary s;
   s.system = "NetCache";

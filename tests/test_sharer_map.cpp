@@ -1,6 +1,6 @@
 // Sharer-map tests (src/core/sharer_map.hpp, DESIGN.md section 16): the
 // O(sharers) snoop-delivery fast path must be invisible — results stay
-// bit-identical to the NETCACHE_SHARER_TRACKING=0 full scan across systems,
+// bit-identical to the sharer_tracking = false full scan across systems,
 // apps and fault injection — while the SnoopStats counters account for every
 // probe taken or avoided. Verified runs take the same fast path, audit the
 // map at every delivery, and keep the oracle's delivery counters equal to
@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -25,14 +24,6 @@ namespace {
 using core::Machine;
 using core::RunSummary;
 using core::SharerMap;
-
-// This binary compares tracked against untracked runs, so the kill switch
-// may not leak in from the environment; the kill-switch test sets and
-// restores its own value.
-const bool g_env_cleared = [] {
-  unsetenv("NETCACHE_SHARER_TRACKING");
-  return true;
-}();
 
 constexpr SystemKind kAllSystems[] = {
     SystemKind::kNetCache, SystemKind::kNetCacheNoRing, SystemKind::kLambdaNet,
@@ -411,25 +402,6 @@ TEST(SnoopCounters, ExcludedFromSerialization) {
   const std::string blob = core::serialize_summary(s);
   EXPECT_EQ(blob.find("snoop"), std::string::npos);
   EXPECT_EQ(blob.find("probes"), std::string::npos);
-}
-
-// --- Kill switch ----------------------------------------------------------
-
-TEST(KillSwitch, EnvironmentDisablesTrackingAndPreservesResults) {
-  RunOpts opts;
-  RunSummary tracked = run_app("fft", opts);
-  ASSERT_GT(tracked.snoop.probes_avoided, 0u);
-  ASSERT_EQ(setenv("NETCACHE_SHARER_TRACKING", "0", 1), 0);
-  RunSummary killed = run_app("fft", opts);
-  unsetenv("NETCACHE_SHARER_TRACKING");
-  EXPECT_EQ(killed.snoop.probes_avoided, 0u);
-  EXPECT_EQ(killed.snoop.peak_blocks, 0u);
-  EXPECT_EQ(canonical(killed), canonical(tracked));
-  // Any other value (or unset) leaves tracking on.
-  ASSERT_EQ(setenv("NETCACHE_SHARER_TRACKING", "1", 1), 0);
-  RunSummary kept = run_app("fft", opts);
-  unsetenv("NETCACHE_SHARER_TRACKING");
-  EXPECT_GT(kept.snoop.probes_avoided, 0u);
 }
 
 }  // namespace

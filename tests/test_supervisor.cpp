@@ -213,6 +213,28 @@ TEST_F(SupervisorTest, ExhaustedRetriesQuarantineTheCell) {
   EXPECT_TRUE(results[0].failure.signaled);
 }
 
+TEST_F(SupervisorTest, CleanExitWithoutAFrameIsAProcessFailure) {
+  // The result frame is the parent's only evidence that a child which
+  // exited 0 really ran its cell. This child builds no workload: it exits 0
+  // before the frame is written, so the frame check alone must catch it.
+  sweep::Cell silent = fast_cell();
+  silent.make_workload = []() -> std::unique_ptr<apps::Workload> { _exit(0); };
+  std::vector<sweep::CellResult> results = sweep::run_supervised(
+      {silent, fast_cell("sor", SystemKind::kLambdaNet)}, 2,
+      isolation(/*timeout_s=*/60.0, /*retries=*/1), nullptr);
+
+  EXPECT_FALSE(results[0].ok);
+  EXPECT_EQ(results[0].failure.attempts, 2);  // retried, then quarantined
+  EXPECT_FALSE(results[0].failure.signaled);
+  EXPECT_FALSE(results[0].failure.timed_out);
+  EXPECT_EQ(results[0].failure.exit_code, 0);
+  EXPECT_NE(results[0].error.find("exited with status 0"), std::string::npos)
+      << results[0].error;
+
+  ASSERT_TRUE(results[1].ok) << results[1].error;
+  EXPECT_TRUE(results[1].summary.verified);
+}
+
 TEST_F(SupervisorTest, InBandFailuresAreDeterministicAndNeverRetried) {
   // A watchdog trip is caught by the child and reported over the pipe — a
   // diagnosed simulation outcome, not a process failure. Even with retries
@@ -278,9 +300,6 @@ TEST_F(SupervisorTest, CleanGridIsBitIdenticalToTheThreadedDriver) {
   sweep::SweepDriver threaded(4);
   build(&threaded);
   threaded.set_result_cache(nullptr);
-  sweep::IsolationOptions off;
-  off.enabled = false;
-  threaded.set_isolation(off);
 
   sweep::SweepDriver isolated(4);
   build(&isolated);
@@ -342,9 +361,6 @@ TEST_F(SupervisorTest, StopFlagMarksThreadedCellsInterrupted) {
   driver.submit(fast_cell());
   driver.submit(fast_cell("sor", SystemKind::kLambdaNet));
   driver.set_result_cache(nullptr);
-  sweep::IsolationOptions off;
-  off.enabled = false;
-  driver.set_isolation(off);
 
   const auto& results = driver.run();
   for (const sweep::CellResult& r : results) {

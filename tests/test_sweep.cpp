@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -157,17 +156,8 @@ TEST(Sweep, RunTasksExecutesEveryTaskExactlyOnce) {
   }
 }
 
-TEST(Sweep, DefaultJobsHonorsEnvironment) {
-  ::setenv("NETCACHE_BENCH_JOBS", "5", 1);
-  EXPECT_EQ(sweep::default_jobs(), 5);
-  ::setenv("NETCACHE_BENCH_JOBS", "not-a-number", 1);
-  EXPECT_GE(sweep::default_jobs(), 1);  // falls back to hardware concurrency
-  ::unsetenv("NETCACHE_BENCH_JOBS");
-  EXPECT_GE(sweep::default_jobs(), 1);
-}
-
-// The shared flag parser (src/sweep/flags.cpp) behind bench_main,
-// netcache_sim and netcache_sweepd.
+// The shared flag parser (src/sweep/flags.cpp) behind bench_main and
+// netcache_sim.
 TEST(SweepFlags, ParserConsumesRejectsAndPassesThrough) {
   sweep::SweepFlags flags;
   std::string error;
@@ -180,6 +170,16 @@ TEST(SweepFlags, ParserConsumesRejectsAndPassesThrough) {
   EXPECT_NE(error.find("--jobs"), std::string::npos) << error;
   EXPECT_EQ(flags.jobs, 3);  // a rejected value leaves the flag unchanged
 
+  // Values past int range are rejected, not narrowed (2^32 + 1 would wrap
+  // to one worker).
+  EXPECT_EQ(sweep::parse_sweep_flag("--jobs=4294967297", &flags, &error),
+            sweep::FlagParse::kBadValue);
+  EXPECT_EQ(flags.jobs, 3);
+  EXPECT_EQ(sweep::parse_sweep_flag("--cell-retries=4294967296", &flags,
+                                    &error),
+            sweep::FlagParse::kBadValue);
+  EXPECT_NE(error.find("--cell-retries"), std::string::npos) << error;
+
   error.clear();
   EXPECT_EQ(sweep::parse_sweep_flag("--cell-timeout=-1", &flags, &error),
             sweep::FlagParse::kBadValue);
@@ -190,11 +190,19 @@ TEST(SweepFlags, ParserConsumesRejectsAndPassesThrough) {
   // so a search for leftover uses of the flag stays empty.)
   EXPECT_EQ(sweep::parse_sweep_flag("--intra" "-jobs=4", &flags, &error),
             sweep::FlagParse::kNotSweepFlag);
+  // Caching is off unless --cache is given, so there is no flag to turn it
+  // off (split literal, as above).
+  EXPECT_EQ(sweep::parse_sweep_flag("--no" "-cache", &flags, &error),
+            sweep::FlagParse::kNotSweepFlag);
 
-  // --jobs's default line sits directly under --jobs in the usage text.
+  // Every sweep knob is a flag: the usage text names no environment
+  // variable, and --jobs's default line sits directly under --jobs.
   const std::string help = sweep::sweep_flags_help();
-  EXPECT_NE(help.find("for multi-cell runs\n"
-                      "                     (default: NETCACHE_BENCH_JOBS"),
+  EXPECT_EQ(help.find("NETCACHE_"), std::string::npos) << help;
+  EXPECT_NE(help.find("  --jobs=N           sweep worker threads (or "
+                      "supervised children)\n"
+                      "                     for multi-cell runs (default: "
+                      "hardware threads)\n"),
             std::string::npos)
       << help;
 }
