@@ -1,116 +1,42 @@
 #include "bench/bench_common.hpp"
 
-#include <algorithm>
 #include <cctype>
-#include <chrono>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <unordered_map>
 
-#include "src/sweep/flags.hpp"
+#include "src/apps/workload.hpp"
+#include "src/core/machine.hpp"
 #include "src/sweep/result_cache.hpp"
-#include "src/sweep/supervisor.hpp"
 
 namespace netcache::bench {
 
-namespace {
-
-// Engine totals across every simulation in this binary, reported after the
-// tables so each bench run surfaces event-core throughput. Guarded: sweep
-// workers may finish cells concurrently.
-std::mutex g_totals_mutex;
-std::uint64_t g_total_events = 0;
-double g_total_engine_seconds = 0.0;
-
-void add_engine_totals(const core::RunSummary& s) {
-  std::lock_guard<std::mutex> lock(g_totals_mutex);
-  g_total_events += s.events;
-  g_total_engine_seconds += s.wall_seconds;
-}
-
-std::vector<std::function<void()>>& planners() {
-  static std::vector<std::function<void()>> p;
-  return p;
-}
-
-// The binary-wide sweep: planners submit into it, bench_main runs it, and
-// CellRef::summary() reads it. Null until bench_main builds it.
-sweep::SweepDriver* g_driver = nullptr;
-
-int g_jobs = 0;  // 0 = resolve via sweep::default_jobs()
-
-sweep::Cell to_cell(const std::string& app, SystemKind system,
-                    const SimOptions& opts) {
-  sweep::Cell cell;
-  cell.app = app;
-  cell.system = system;
-  cell.nodes = opts.nodes;
-  cell.scale = opts.scale;
-  cell.paper_size = opts.paper_size;
-  cell.tweak = opts.tweak;
-  cell.limits = opts.limits;
-  cell.make_workload = opts.make_workload;
-  return cell;
-}
-
-[[noreturn]] void die_cell(const sweep::Cell& cell, const char* problem,
-                           const std::string& detail) {
-  std::fprintf(stderr, "FATAL: %s %s%s%s\n", cell.label().c_str(), problem,
-               detail.empty() ? "" : ": ", detail.c_str());
-  std::abort();
-}
-
-}  // namespace
-
-core::RunSummary simulate(const std::string& app, SystemKind system,
-                          const SimOptions& opts) {
-  sweep::Cell cell = to_cell(app, system, opts);
+core::RunSummary simulate(const sweep::Cell& cell) {
   sweep::CellResult r = sweep::run_cell(cell);
-  if (!r.ok) die_cell(cell, "failed", r.error);
-  if (!r.summary.verified) die_cell(cell, "failed verification", "");
-  add_engine_totals(r.summary);
+  if (!r.ok || !r.summary.verified) {
+    std::fprintf(stderr, "FATAL: %s %s%s\n", cell.label().c_str(),
+                 r.ok ? "failed verification" : "failed: ", r.error.c_str());
+    std::abort();
+  }
   return r.summary;
 }
 
-const core::RunSummary& CellRef::summary() const {
-  if (g_driver == nullptr || index_ >= g_driver->size()) {
-    std::fprintf(stderr,
-                 "FATAL: CellRef::summary() before the sweep has run\n");
-    std::abort();
+std::vector<std::size_t> submit_distinct(const std::vector<sweep::Cell>& cells,
+                                         sweep::SweepDriver& driver) {
+  std::unordered_map<std::string, std::size_t> index;
+  std::vector<std::size_t> out;
+  out.reserve(cells.size());
+  for (const sweep::Cell& cell : cells) {
+    if (!sweep::ResultCache::cacheable(cell)) {
+      out.push_back(driver.submit(cell));
+      continue;
+    }
+    auto [it, added] =
+        index.try_emplace(sweep::ResultCache::key_description(cell, ""), 0);
+    if (added) it->second = driver.submit(cell);
+    out.push_back(it->second);
   }
-  // A failed cell's summary is default-constructed; folding it into a table
-  // would silently record zeros under this cell's row. Fail loudly instead.
-  const sweep::CellResult& r = g_driver->result(index_);
-  if (!r.ok) die_cell(g_driver->cell(index_), "failed", r.error);
-  return r.summary;
-}
-
-bool CellRef::ok() const {
-  if (g_driver == nullptr || index_ >= g_driver->size()) return false;
-  const sweep::CellResult& r = g_driver->result(index_);
-  return r.ok && r.summary.verified;
-}
-
-const std::string& CellRef::error() const {
-  static const std::string empty;
-  if (g_driver == nullptr || index_ >= g_driver->size()) return empty;
-  return g_driver->result(index_).error;
-}
-
-CellRef submit(const std::string& app, SystemKind system,
-               const SimOptions& opts) {
-  if (g_driver == nullptr) {
-    std::fprintf(stderr,
-                 "FATAL: submit() outside a SweepPlan (bench_main owns the "
-                 "driver)\n");
-    std::abort();
-  }
-  return CellRef(g_driver->submit(to_cell(app, system, opts)));
-}
-
-SweepPlan::SweepPlan(std::function<void()> plan) {
-  planners().push_back(std::move(plan));
+  return out;
 }
 
 Table::Table(std::string title, std::vector<std::string> columns)
@@ -123,13 +49,6 @@ void Table::set(const std::string& row, const std::string& column,
   cells_[row][column] = value;
 }
 
-void Table::set_failed(const std::string& row, const std::string& column) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (cells_.find(row) == cells_.end()) row_order_.push_back(row);
-  cells_[row];  // reserve the row even if no column ever gets a value
-  failed_[row][column] = true;
-}
-
 void Table::print() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::printf("\n== %s ==\n", title_.c_str());
@@ -139,12 +58,7 @@ void Table::print() const {
   for (const auto& row : row_order_) {
     std::printf("%-12s", row.c_str());
     const auto& vals = cells_.at(row);
-    auto failed_row = failed_.find(row);
     for (const auto& c : columns_) {
-      if (failed_row != failed_.end() && failed_row->second.count(c) > 0) {
-        std::printf(" %12s", "failed");
-        continue;
-      }
       auto it = vals.find(c);
       if (it == vals.end()) {
         std::printf(" %12s", "-");
@@ -165,12 +79,7 @@ std::string Table::to_csv() const {
   for (const auto& row : row_order_) {
     out += row;
     const auto& vals = cells_.at(row);
-    auto failed_row = failed_.find(row);
     for (const auto& c : columns_) {
-      if (failed_row != failed_.end() && failed_row->second.count(c) > 0) {
-        out += ",failed";
-        continue;
-      }
       auto it = vals.find(c);
       if (it == vals.end()) {
         out += ",";
@@ -205,118 +114,6 @@ void Table::write_csv_to(const std::string& dir) const {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
   }
 }
-
-int bench_jobs() { return g_jobs > 0 ? g_jobs : sweep::default_jobs(); }
-
-int bench_main(int argc, char** argv,
-               const std::vector<const Table*>& tables) {
-  // Strip the shared sweep flags before google-benchmark sees (and rejects)
-  // them; parsing and validation live in src/sweep/flags.cpp, shared with
-  // netcache_sim.
-  int out = 1;
-  sweep::SweepFlags flags;
-  for (int i = 1; i < argc; ++i) {
-    std::string error;
-    switch (sweep::parse_sweep_flag(argv[i], &flags, &error)) {
-      case sweep::FlagParse::kConsumed:
-        break;
-      case sweep::FlagParse::kBadValue:
-        std::fprintf(stderr, "%s\n", error.c_str());
-        return 1;
-      case sweep::FlagParse::kNotSweepFlag:
-        argv[out++] = argv[i];
-        break;
-    }
-  }
-  argc = out;
-  g_jobs = flags.jobs;
-  const sweep::IsolationOptions iso = flags.isolation;
-  sweep::apply_cache_flags(flags);
-
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-
-  // Fan the declared grid out across the pool before the benchmark bodies
-  // (which consume the finished summaries) run.
-  sweep::SweepDriver driver(bench_jobs());
-  driver.set_isolation(iso);
-  g_driver = &driver;
-  for (const auto& plan : planners()) plan();
-  if (driver.size() > 0) {
-    auto t0 = std::chrono::steady_clock::now();
-    sweep::install_stop_handlers();
-    const auto& results = driver.run();
-    sweep::remove_stop_handlers();
-    double secs = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-    bool failed = false;
-    std::size_t completed = 0;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      if (!results[i].ok) {
-        // Under isolation a failed cell is quarantined, not fatal: print its
-        // diagnosis (incl. harvested forensics) and let the grid report.
-        std::fprintf(stderr, "%s: cell %s failed: %s\n",
-                     iso.enabled ? "FAILED" : "FATAL",
-                     driver.cell(i).label().c_str(),
-                     results[i].error.c_str());
-        failed = true;
-      } else if (!results[i].summary.verified) {
-        std::fprintf(stderr, "%s: cell %s failed verification\n",
-                     iso.enabled ? "FAILED" : "FATAL",
-                     driver.cell(i).label().c_str());
-        failed = true;
-      } else {
-        ++completed;
-        add_engine_totals(results[i].summary);
-      }
-    }
-    std::printf("sweep: %zu cells on %d worker(s) in %.2f s\n", driver.size(),
-                driver.jobs(), secs);
-    const std::string cache_line = sweep::format_cache_stats();
-    if (!cache_line.empty()) std::printf("%s", cache_line.c_str());
-    if (sweep::stop_requested()) {
-      std::fprintf(stderr,
-                   "sweep interrupted by signal %d — %zu/%zu cells "
-                   "completed (completed results are cached; re-run to "
-                   "resume)\n",
-                   sweep::stop_signal(), completed, results.size());
-      return 128 + sweep::stop_signal();
-    }
-    if (failed) {
-      if (iso.enabled) {
-        std::fprintf(stderr,
-                     "sweep: %zu/%zu cells completed; failed cells were "
-                     "quarantined (completed results are cached; re-run "
-                     "re-executes only the failures). Skipping benchmark "
-                     "bodies.\n",
-                     completed, results.size());
-      }
-      return 1;
-    }
-  }
-
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  for (const Table* t : tables) t->print();
-  {
-    std::lock_guard<std::mutex> lock(g_totals_mutex);
-    if (g_total_engine_seconds > 0) {
-      std::printf(
-          "\nengine: %llu events in %.3f s  (%.3g events/s)\n",
-          static_cast<unsigned long long>(g_total_events),
-          g_total_engine_seconds,
-          static_cast<double>(g_total_events) / g_total_engine_seconds);
-    }
-  }
-  if (const char* dir = std::getenv("NETCACHE_BENCH_CSV_DIR")) {
-    for (const Table* t : tables) t->write_csv_to(dir);
-  }
-  g_driver = nullptr;
-  return 0;
-}
-
-const std::vector<std::string>& all_apps() { return apps::workload_names(); }
 
 namespace {
 

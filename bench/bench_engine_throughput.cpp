@@ -185,18 +185,20 @@ Run run_full_app() {
   const sim::FrameArena& arena = sim::FrameArena::local();
   const std::uint64_t frames0 = arena.fresh_allocations() + arena.reuses();
   WallTimer t;
-  SimOptions opts;
-  opts.limits = bench_limits();
-  core::RunSummary s = simulate("sor", SystemKind::kNetCache, opts);
+  sweep::Cell cell;
+  cell.app = "sor";
+  cell.limits = bench_limits();
+  core::RunSummary s = simulate(cell);
   const double seconds = t.seconds();
   return {s.events, seconds,
           arena.fresh_allocations() + arena.reuses() - frames0};
 }
 
 Occupancy run_occupancy(const char* app) {
-  SimOptions opts;
-  opts.limits = bench_limits();
-  core::RunSummary s = simulate(app, SystemKind::kNetCache, opts);
+  sweep::Cell cell;
+  cell.app = app;
+  cell.limits = bench_limits();
+  core::RunSummary s = simulate(cell);
   return {s.wheel_pushes, s.overflow_pushes};
 }
 

@@ -17,6 +17,7 @@
 // <dir>/<system>_<nodes>_{tracked,untracked}.csv so CI can byte-diff the
 // pairs independently of this binary's own identity check.
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -24,7 +25,6 @@
 #include <thread>
 #include <vector>
 
-#include "bench/bench_common.hpp"
 #include "src/core/run_summary.hpp"
 #include "src/sweep/sweep.hpp"
 
@@ -121,7 +121,8 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  if (scale <= 0 || node_counts.empty() || app.empty()) {
+  if (!std::isfinite(scale) || scale <= 0 || node_counts.empty() ||
+      app.empty()) {
     std::fprintf(stderr, "bad --scale, --nodes, or --app\n");
     return 1;
   }

@@ -11,6 +11,7 @@
 //
 //   ./bench_sweep_scaling [--scale=X] [--jobs=1,4,8,16]
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -18,8 +19,9 @@
 #include <thread>
 #include <vector>
 
-#include "bench/bench_common.hpp"
+#include "src/apps/workload.hpp"
 #include "src/core/run_summary.hpp"
+#include "src/sweep/sweep.hpp"
 
 using namespace netcache;
 
@@ -36,7 +38,7 @@ std::vector<sweep::Cell> fig6_grid(double scale) {
       SystemKind::kNetCache, SystemKind::kLambdaNet, SystemKind::kDmonUpdate,
       SystemKind::kDmonInvalidate};
   std::vector<sweep::Cell> cells;
-  for (const auto& app : bench::all_apps()) {
+  for (const auto& app : apps::workload_names()) {
     for (SystemKind kind : kSystems) {
       sweep::Cell cell;
       cell.app = app;
@@ -111,7 +113,7 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  if (scale <= 0 || jobs_list.empty()) {
+  if (!std::isfinite(scale) || scale <= 0 || jobs_list.empty()) {
     std::fprintf(stderr, "bad --scale or --jobs\n");
     return 1;
   }

@@ -9,6 +9,7 @@
 //   ./bench_verify_overhead [--scale=X]
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -33,12 +34,13 @@ struct CellResult {
 
 double timed_run(const std::string& app, SystemKind kind, double scale,
                  bool verify, core::RunSummary* out) {
-  bench::SimOptions opts;
-  opts.nodes = 16;
-  opts.scale = scale;
-  opts.tweak = [verify](MachineConfig& config) { config.verify = verify; };
+  sweep::Cell cell;
+  cell.app = app;
+  cell.system = kind;
+  cell.scale = scale;
+  cell.tweak = [verify](MachineConfig& config) { config.verify = verify; };
   auto t0 = std::chrono::steady_clock::now();
-  *out = bench::simulate(app, kind, opts);
+  *out = bench::simulate(cell);
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
 }
@@ -58,7 +60,7 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  if (scale <= 0) {
+  if (!std::isfinite(scale) || scale <= 0) {
     std::fprintf(stderr, "bad --scale\n");
     return 1;
   }

@@ -59,7 +59,7 @@ struct Options {
   bool fault_recovery = true;
   /// The shared sweep surface (--jobs, --cache, --isolate, --cell-timeout,
   /// --cell-retries, --forensics) — parsed and validated by
-  /// src/sweep/flags.cpp, identically to bench_main.
+  /// src/sweep/flags.cpp, identically to reproduce.
   sweep::SweepFlags sweep;
 };
 
@@ -397,6 +397,12 @@ int main(int argc, char** argv) try {
   if (app_names.empty() || kinds.empty()) {
     throw ConfigError("app/system", opt.app + "/" + opt.system,
                       "expected at least one value");
+  }
+  // An unknown --app or --synthetic name throws ConfigError from the
+  // workload factory: reject it before any cell runs. Constructing a
+  // workload only sizes the problem; a trace file is read per cell.
+  if (opt.trace_path.empty()) {
+    for (const auto& app : app_names) (void)build_workload(opt, app);
   }
 
   if (opt.report) {

@@ -2,8 +2,8 @@
 
 #include <vector>
 
-#include "src/common/nc_assert.hpp"
 #include "src/common/rng.hpp"
+#include "src/common/sim_error.hpp"
 
 namespace netcache::apps {
 
@@ -13,9 +13,11 @@ class Synthetic final : public Workload {
  public:
   explicit Synthetic(const SyntheticSpec& spec) : spec_(spec) {
     name_ = "synth-" + spec_.pattern;
-    NC_ASSERT(spec_.pattern == "uniform" || spec_.pattern == "hot" ||
-                  spec_.pattern == "prodcons" || spec_.pattern == "stream",
-              "unknown synthetic pattern");
+    if (spec_.pattern != "uniform" && spec_.pattern != "hot" &&
+        spec_.pattern != "prodcons" && spec_.pattern != "stream") {
+      throw ConfigError("synthetic", spec_.pattern,
+                        "unknown pattern (uniform, hot, prodcons, stream)");
+    }
   }
 
   const char* name() const override { return name_.c_str(); }

@@ -26,6 +26,7 @@ struct SyntheticSpec {
   std::uint64_t seed = 0xFEEDFACEull;
 };
 
+/// Throws ConfigError when spec.pattern is none of the four above.
 std::unique_ptr<Workload> make_synthetic(const SyntheticSpec& spec);
 
 }  // namespace netcache::apps

@@ -1,6 +1,6 @@
 #include "src/apps/workload.hpp"
 
-#include "src/common/nc_assert.hpp"
+#include "src/common/sim_error.hpp"
 
 namespace netcache::apps {
 
@@ -25,8 +25,7 @@ std::unique_ptr<Workload> make_workload(const std::string& name,
   if (name == "sor") return make_sor(params);
   if (name == "water") return make_water(params);
   if (name == "wf") return make_wf(params);
-  NC_ASSERT(false, "unknown workload name");
-  return nullptr;
+  throw ConfigError("app", name, "unknown application");
 }
 
 }  // namespace netcache::apps

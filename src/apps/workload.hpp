@@ -159,7 +159,8 @@ inline Range partition(std::size_t count, int tid, int threads) {
 const std::vector<std::string>& workload_names();
 
 /// Creates a workload by name ("cg", "em3d", "fft", "gauss", "lu", "mg",
-/// "ocean", "radix", "raytrace", "sor", "water", "wf").
+/// "ocean", "radix", "raytrace", "sor", "water", "wf"). Throws ConfigError
+/// for any other name.
 std::unique_ptr<Workload> make_workload(const std::string& name,
                                         const WorkloadParams& params = {});
 

@@ -1,6 +1,7 @@
 #include "src/sweep/flags.hpp"
 
 #include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -70,8 +71,9 @@ FlagParse parse_sweep_flag(const char* arg, SweepFlags* flags,
   }
   if (flag_value(arg, "--cell-timeout", &v)) {
     double s = 0;
-    if (!strict_double(v, &s) || s < 0) {
-      return bad(error, "--cell-timeout", v, "expected seconds >= 0");
+    if (!strict_double(v, &s) || !std::isfinite(s) || s < 0 ||
+        s > kMaxCellTimeoutS) {
+      return bad(error, "--cell-timeout", v, "expected seconds in 0..1e6");
     }
     flags->isolation.cell_timeout_s = s;
     return FlagParse::kConsumed;
@@ -127,7 +129,7 @@ const char* sweep_flags_help() {
       "                     with --cache re-executes only the failed cells\n"
       "  --cell-timeout=S   wall-clock seconds per supervised cell attempt\n"
       "                     before SIGKILL, doubled per retry (default 900;\n"
-      "                     0 = none)\n"
+      "                     0 = none; at most 1e6)\n"
       "  --cell-retries=N   re-runs after a transient process failure,\n"
       "                     exponential backoff (default 1)\n"
       "  --forensics=DIR    write one file per failed supervised attempt\n"

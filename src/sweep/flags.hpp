@@ -1,6 +1,6 @@
 // Shared command-line surface for every sweep front end.
 //
-// bench_main and netcache_sim both drive the same sweep machinery (worker
+// reproduce and netcache_sim both drive the same sweep machinery (worker
 // pool, result cache, supervised isolation). This module is the single
 // definition of their shared flags: one parser consuming "--name=value"
 // arguments, one cache-traffic summary line, and one usage block, so the
@@ -20,6 +20,11 @@ struct SweepFlags {
   std::string cache_dir;  // empty = no result cache
   IsolationOptions isolation;
 };
+
+/// Largest --cell-timeout accepted, in seconds (about 11.6 days). A retry
+/// escalates the timeout up to 8x, and 8e6 s still fits the steady_clock's
+/// 64-bit nanosecond count; larger values overflow it into a past deadline.
+inline constexpr double kMaxCellTimeoutS = 1e6;
 
 /// Outcome of offering one argv entry to the shared parser.
 enum class FlagParse {

@@ -41,7 +41,7 @@
 namespace netcache::sweep {
 
 // --- Graceful-stop support (SIGINT/SIGTERM) --------------------------------
-// A sweep driver (bench_main, netcache_sim) installs the handlers around
+// A sweep driver (reproduce, netcache_sim) installs the handlers around
 // run(); both execution modes then honor the flag: the threaded pool stops
 // popping tasks, the supervisor stops dispatching, SIGKILLs active children,
 // and reaps them. Cells that never ran are marked failed with an

@@ -118,7 +118,7 @@ void run_tasks(int jobs, std::vector<std::function<void()>>& tasks) {
     std::size_t idx;
     for (;;) {
       // Graceful stop: drop the remaining queue on the floor. Whoever
-      // installed the handlers (bench_main, netcache_sim) marks un-run cells
+      // installed the handlers (reproduce, netcache_sim) marks un-run cells
       // and prints the partial-grid summary.
       if (stop_requested()) return;
       if (queues[static_cast<std::size_t>(me)].pop_front(&idx)) {

@@ -7,6 +7,7 @@
 #include <tuple>
 
 #include "src/apps/workload.hpp"
+#include "src/common/sim_error.hpp"
 #include "src/core/machine.hpp"
 
 namespace netcache {
@@ -82,6 +83,16 @@ TEST(AppsFactory, KnowsAllTwelve) {
     auto w = apps::make_workload(name, small_params());
     ASSERT_NE(w, nullptr);
     EXPECT_EQ(w->name(), name);
+  }
+}
+
+TEST(AppsFactory, UnknownNameIsAConfigError) {
+  try {
+    (void)apps::make_workload("nosuch", small_params());
+    FAIL() << "make_workload accepted an unknown name";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(e.key(), "app");
+    EXPECT_EQ(e.value(), "nosuch");
   }
 }
 

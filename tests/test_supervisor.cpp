@@ -326,17 +326,6 @@ TEST_F(SupervisorTest, CleanGridIsBitIdenticalToTheThreadedDriver) {
   EXPECT_EQ(ta.to_csv(), tb.to_csv());
 }
 
-TEST(TableFailure, FailedCellsRenderAsFailedNeverAsSilentZeros) {
-  bench::Table table("partial grid", {"NetCache", "LambdaNet"});
-  table.set("sor", "NetCache", 1234.0);
-  table.set_failed("sor", "LambdaNet");
-  table.set_failed("fft", "NetCache");  // whole row known only as failed
-  const std::string csv = table.to_csv();
-  EXPECT_NE(csv.find("sor,1234"), std::string::npos) << csv;
-  EXPECT_NE(csv.find(",failed"), std::string::npos) << csv;
-  EXPECT_NE(csv.find("fft,failed"), std::string::npos) << csv;
-}
-
 TEST_F(SupervisorTest, StopFlagMarksSupervisedCellsInterrupted) {
   sweep::request_stop(SIGINT);
   EXPECT_TRUE(sweep::stop_requested());

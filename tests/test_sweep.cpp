@@ -156,7 +156,7 @@ TEST(Sweep, RunTasksExecutesEveryTaskExactlyOnce) {
   }
 }
 
-// The shared flag parser (src/sweep/flags.cpp) behind bench_main and
+// The shared flag parser (src/sweep/flags.cpp) behind reproduce and
 // netcache_sim.
 TEST(SweepFlags, ParserConsumesRejectsAndPassesThrough) {
   sweep::SweepFlags flags;
@@ -184,6 +184,21 @@ TEST(SweepFlags, ParserConsumesRejectsAndPassesThrough) {
   EXPECT_EQ(sweep::parse_sweep_flag("--cell-timeout=-1", &flags, &error),
             sweep::FlagParse::kBadValue);
   EXPECT_NE(error.find("--cell-timeout"), std::string::npos) << error;
+  // nan would leave a cell without a deadline; inf and 1e10 overflow the
+  // clock's nanosecond count, so the supervisor would kill at once.
+  const double timeout = flags.isolation.cell_timeout_s;
+  for (const char* arg :
+       {"--cell-timeout=nan", "--cell-timeout=inf", "--cell-timeout=1e10"}) {
+    error.clear();
+    EXPECT_EQ(sweep::parse_sweep_flag(arg, &flags, &error),
+              sweep::FlagParse::kBadValue)
+        << arg;
+    EXPECT_NE(error.find("--cell-timeout"), std::string::npos) << error;
+  }
+  EXPECT_EQ(flags.isolation.cell_timeout_s, timeout);
+  EXPECT_EQ(sweep::parse_sweep_flag("--cell-timeout=1e6", &flags, &error),
+            sweep::FlagParse::kConsumed);
+  EXPECT_EQ(flags.isolation.cell_timeout_s, sweep::kMaxCellTimeoutS);
 
   // The removed intra-cell thread-count flag is no longer a sweep flag, so
   // the front end's own parser rejects it as unknown. (The literal is split

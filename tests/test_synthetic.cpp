@@ -5,6 +5,7 @@
 #include <string>
 #include <tuple>
 
+#include "src/common/sim_error.hpp"
 #include "src/core/machine.hpp"
 
 namespace netcache {
@@ -95,7 +96,7 @@ TEST(Synthetic, DeterministicAcrossRuns) {
 TEST(Synthetic, RejectsUnknownPattern) {
   apps::SyntheticSpec spec;
   spec.pattern = "bogus";
-  EXPECT_DEATH((void)apps::make_synthetic(spec), "pattern");
+  EXPECT_THROW((void)apps::make_synthetic(spec), ConfigError);
 }
 
 }  // namespace
