@@ -1,7 +1,8 @@
-// Engine event-core throughput microbenchmark.
+// Engine event-core throughput microbenchmark. Takes no arguments.
 //
 // Measures raw discrete-event throughput (events/sec) for three workloads
-// that bracket the engine's usage in the paper reproduction:
+// that bracket the engine's usage in the paper reproduction, each repeated
+// until its runs add up to kMinSeconds:
 //   - pure_delay:           co_await delay() chains, no contention (the
 //                           schedule_resume fast path), with a slice of
 //                           far-future delays to exercise the overflow path
@@ -23,8 +24,6 @@
 // recorded references — the pre-rewrite std::function + std::priority_queue
 // core, and the core before the event record and the per-access host
 // structures were flattened.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -49,12 +48,12 @@ struct Run {
   std::uint64_t frames = 0;  // coroutine frames served by the FrameArena
 };
 
-// Every run of one workload across the benchmark's iterations.
+// Every run of one workload across the bench's iterations.
 struct Measurement {
   std::uint64_t events = 0;
   double seconds = 0.0;
   std::uint64_t frames = 0;
-  std::vector<double> rates;  // events/sec of each benchmark iteration
+  std::vector<double> rates;  // events/sec of each iteration
   double events_per_sec() const { return seconds > 0 ? events / seconds : 0; }
   double frames_per_event() const {
     return events > 0 ? static_cast<double>(frames) / events : 0.0;
@@ -100,11 +99,14 @@ constexpr double kBaselineFullAppEps = 4.04e6;
 // out-of-line queue code, 24-byte cache lines, a hash-map sharer directory
 // and a deque write buffer. Median of 5 runs of this bench built from that
 // commit, alternated with runs of the flat core, on a 4-thread Intel Xeon
-// host (--benchmark_min_time=2).
+// host (each workload repeated for 2 s, as kMinSeconds does).
 constexpr double kPreFlatPureDelayEps = 18.28e6;
 constexpr double kPreFlatResourceEps = 21.72e6;
 constexpr double kPreFlatFullAppEps = 11.87e6;
 constexpr double kPreFlatFullAppFramesPerEvent = 0.2178;
+
+// Each workload repeats until its timed runs add up to this many seconds.
+constexpr double kMinSeconds = 2.0;
 
 // Watchdog guard for every bench run: budgets far above anything a healthy
 // workload needs, so a regression that deadlocks or livelocks the engine
@@ -126,11 +128,14 @@ constexpr const char* kMeasurementNote =
     "frames_per_event counts FrameArena allocations (fresh + reused) per "
     "executed event";
 
-Measurement g_pure_delay;
-Measurement g_resource;
-Measurement g_full_app;
-Occupancy g_gauss_occ;
-Occupancy g_wf_occ;
+// Everything one invocation measures.
+struct Results {
+  Measurement pure_delay;
+  Measurement resource;
+  Measurement full_app;
+  Occupancy gauss_occ;
+  Occupancy wf_occ;
+};
 
 class WallTimer {
  public:
@@ -202,51 +207,14 @@ Occupancy run_occupancy(const char* app) {
   return {s.wheel_pushes, s.overflow_pushes};
 }
 
-void BM_PureDelay(benchmark::State& state) {
-  for (auto _ : state) {
-    Run m = run_pure_delay();
-    g_pure_delay.add(m);
-    state.SetItemsProcessed(state.items_processed() +
-                            static_cast<std::int64_t>(m.events));
-  }
+template <typename RunFn>
+Measurement repeat(RunFn run) {
+  Measurement m;
+  while (m.seconds < kMinSeconds) m.add(run());
+  return m;
 }
-BENCHMARK(BM_PureDelay)->Unit(benchmark::kMillisecond);
 
-void BM_ResourceContention(benchmark::State& state) {
-  for (auto _ : state) {
-    Run m = run_resource_contention();
-    g_resource.add(m);
-    state.SetItemsProcessed(state.items_processed() +
-                            static_cast<std::int64_t>(m.events));
-  }
-}
-BENCHMARK(BM_ResourceContention)->Unit(benchmark::kMillisecond);
-
-void BM_FullApp(benchmark::State& state) {
-  for (auto _ : state) {
-    Run m = run_full_app();
-    g_full_app.add(m);
-    state.SetItemsProcessed(state.items_processed() +
-                            static_cast<std::int64_t>(m.events));
-  }
-}
-BENCHMARK(BM_FullApp)->Unit(benchmark::kMillisecond);
-
-void BM_WheelOccupancy(benchmark::State& state) {
-  const char* app = state.range(0) == 0 ? "gauss" : "wf";
-  Occupancy* out = state.range(0) == 0 ? &g_gauss_occ : &g_wf_occ;
-  for (auto _ : state) {
-    *out = run_occupancy(app);
-    state.counters["wheel_pushes"] = static_cast<double>(out->wheel);
-    state.counters["overflow_pushes"] = static_cast<double>(out->overflow);
-    state.counters["overflow_pct"] = out->overflow_pct();
-  }
-  state.SetLabel(app);
-}
-BENCHMARK(BM_WheelOccupancy)->DenseRange(0, 1)->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
-void write_json(const char* path) {
+void write_json(const Results& r, const char* path) {
   std::FILE* f = std::fopen(path, "w");
   if (!f) {
     std::fprintf(stderr, "bench_engine_throughput: cannot write %s\n", path);
@@ -306,22 +274,22 @@ void write_json(const char* path) {
                "far-future-heaviest workloads, so a rising overflow_pct here "
                "is the signal to grow kWheelSize\",\n");
   std::fprintf(f, "  \"timing_wheel\": {\n");
-  emit_occ("gauss", g_gauss_occ, ",");
-  emit_occ("wf", g_wf_occ, "");
+  emit_occ("gauss", r.gauss_occ, ",");
+  emit_occ("wf", r.wf_occ, "");
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"workloads\": {\n");
-  emit("pure_delay", g_pure_delay, kBaselinePureDelayEps,
+  emit("pure_delay", r.pure_delay, kBaselinePureDelayEps,
        kPreFlatPureDelayEps, -1, ",");
-  emit("resource_contention", g_resource, kBaselineResourceEps,
+  emit("resource_contention", r.resource, kBaselineResourceEps,
        kPreFlatResourceEps, -1, ",");
-  emit("full_app", g_full_app, kBaselineFullAppEps, kPreFlatFullAppEps,
+  emit("full_app", r.full_app, kBaselineFullAppEps, kPreFlatFullAppEps,
        kPreFlatFullAppFramesPerEvent, "");
   std::fprintf(f, "  }\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", path);
 }
 
-void print_summary() {
+void print_summary(const Results& r) {
   std::printf("\n== engine event-core throughput (events/sec) ==\n");
   auto line = [](const char* name, const Measurement& m, double base,
                  double pre_flat) {
@@ -331,32 +299,43 @@ void print_summary() {
                 name, eps, pre_flat, pre_flat > 0 ? eps / pre_flat : 0.0, base,
                 base > 0 ? eps / base : 0.0);
   };
-  line("pure_delay", g_pure_delay, kBaselinePureDelayEps,
+  line("pure_delay", r.pure_delay, kBaselinePureDelayEps,
        kPreFlatPureDelayEps);
-  line("resource_contention", g_resource, kBaselineResourceEps,
+  line("resource_contention", r.resource, kBaselineResourceEps,
        kPreFlatResourceEps);
-  line("full_app", g_full_app, kBaselineFullAppEps, kPreFlatFullAppEps);
+  line("full_app", r.full_app, kBaselineFullAppEps, kPreFlatFullAppEps);
   std::printf("%-20s %12.3f frames/event  (pre-flat %.3f)\n", "full_app",
-              g_full_app.frames_per_event(), kPreFlatFullAppFramesPerEvent);
+              r.full_app.frames_per_event(), kPreFlatFullAppFramesPerEvent);
   std::printf("\n== timing-wheel occupancy (EventQueue::stats()) ==\n");
   auto occ_line = [](const char* name, const Occupancy& o) {
     std::printf("%-20s wheel %12llu  overflow %8llu  (%.3f%% overflow)\n",
                 name, static_cast<unsigned long long>(o.wheel),
                 static_cast<unsigned long long>(o.overflow), o.overflow_pct());
   };
-  occ_line("gauss", g_gauss_occ);
-  occ_line("wf", g_wf_occ);
+  occ_line("gauss", r.gauss_occ);
+  occ_line("wf", r.wf_occ);
 }
 
 }  // namespace
 }  // namespace netcache::bench
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  netcache::bench::print_summary();
+  using namespace netcache::bench;
+  if (argc > 1) {
+    std::fprintf(stderr,
+                 "bench_engine_throughput: unknown argument '%s' (the bench "
+                 "takes none)\n",
+                 argv[1]);
+    return 1;
+  }
+  Results r;
+  r.pure_delay = repeat(run_pure_delay);
+  r.resource = repeat(run_resource_contention);
+  r.full_app = repeat(run_full_app);
+  r.gauss_occ = run_occupancy("gauss");
+  r.wf_occ = run_occupancy("wf");
+  print_summary(r);
   const char* path = std::getenv("NETCACHE_BENCH_ENGINE_JSON");
-  netcache::bench::write_json(path ? path : "BENCH_engine.json");
+  write_json(r, path ? path : "BENCH_engine.json");
   return 0;
 }

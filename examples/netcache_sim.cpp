@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -37,6 +38,8 @@ namespace {
 struct Options {
   std::string app = "sor";
   std::string trace_path;
+  /// The trace behind --trace, read once in main(); each cell replays a copy.
+  std::shared_ptr<const apps::TraceWorkload> trace;
   std::string synthetic;
   std::string system = "netcache";
   int nodes = 16;
@@ -276,9 +279,7 @@ void apply_knobs(const Options& opt, MachineConfig* config,
 
 std::unique_ptr<apps::Workload> build_workload(const Options& opt,
                                                const std::string& app) {
-  if (!opt.trace_path.empty()) {
-    return apps::TraceWorkload::from_file(opt.trace_path);
-  }
+  if (opt.trace) return std::make_unique<apps::TraceWorkload>(*opt.trace);
   if (!opt.synthetic.empty()) {
     apps::SyntheticSpec spec;
     spec.pattern = opt.synthetic;
@@ -325,7 +326,7 @@ int run_sweep(const Options& opt, const std::vector<std::string>& app_names,
       cell.tweak = [opt, app](MachineConfig& config) {
         apply_knobs(opt, &config, app);
       };
-      if (!opt.trace_path.empty() || !opt.synthetic.empty()) {
+      if (opt.trace || !opt.synthetic.empty()) {
         Options o = opt;
         cell.make_workload = [o, app] { return build_workload(o, app); };
       }
@@ -398,10 +399,13 @@ int main(int argc, char** argv) try {
     throw ConfigError("app/system", opt.app + "/" + opt.system,
                       "expected at least one value");
   }
-  // An unknown --app or --synthetic name throws ConfigError from the
-  // workload factory: reject it before any cell runs. Constructing a
-  // workload only sizes the problem; a trace file is read per cell.
-  if (opt.trace_path.empty()) {
+  // An unknown --app or --synthetic name, an unreadable trace or a
+  // malformed trace line throws ConfigError from the workload factory:
+  // reject it before any cell runs. Constructing a workload only sizes the
+  // problem; the trace is read here once.
+  if (!opt.trace_path.empty()) {
+    opt.trace = apps::TraceWorkload::from_file(opt.trace_path);
+  } else {
     for (const auto& app : app_names) (void)build_workload(opt, app);
   }
 

@@ -1,17 +1,21 @@
 #include "src/apps/trace.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
-#include "src/common/nc_assert.hpp"
+#include "src/common/sim_error.hpp"
 
 namespace netcache::apps {
 
 TraceWorkload::TraceWorkload(std::vector<std::vector<TraceRecord>> streams)
     : streams_(std::move(streams)) {
-  NC_ASSERT(!streams_.empty(), "trace needs at least one thread");
+  if (streams_.empty()) {
+    throw ConfigError("trace", "(no records)",
+                      "a trace needs at least one record");
+  }
   // Barrier counts must agree across threads or the replay deadlocks.
   auto barriers = [](const std::vector<TraceRecord>& s) {
     return std::count_if(s.begin(), s.end(), [](const TraceRecord& r) {
@@ -19,19 +23,39 @@ TraceWorkload::TraceWorkload(std::vector<std::vector<TraceRecord>> streams)
     });
   };
   barrier_rounds_ = 0;
-  bool any = false;
-  for (const auto& s : streams_) {
+  std::size_t first = streams_.size();
+  for (std::size_t tid = 0; tid < streams_.size(); ++tid) {
+    const auto& s = streams_[tid];
     expected_ += s.size();
     if (s.empty()) continue;  // absent tids just attend the barriers
-    if (!any) {
+    if (first == streams_.size()) {
       barrier_rounds_ = barriers(s);
-      any = true;
-    } else {
-      NC_ASSERT(barriers(s) == barrier_rounds_,
-                "threads disagree on the number of barriers");
+      first = tid;
+    } else if (barriers(s) != barrier_rounds_) {
+      throw ConfigError("trace", "thread " + std::to_string(tid),
+                        "has " + std::to_string(barriers(s)) +
+                            " barriers, thread " + std::to_string(first) +
+                            " has " + std::to_string(barrier_rounds_));
     }
   }
 }
+
+namespace {
+
+[[noreturn]] void bad_line(int lineno, const std::string& line,
+                           const char* why) {
+  throw ConfigError("trace line " + std::to_string(lineno), line, why);
+}
+
+/// True when all of `field` parses as a decimal T (no sign if unsigned).
+template <typename T>
+bool parse_number(const std::string& field, T* out) {
+  const char* end = field.data() + field.size();
+  const auto [parsed, ec] = std::from_chars(field.data(), end, *out);
+  return ec == std::errc() && parsed == end;
+}
+
+}  // namespace
 
 std::unique_ptr<TraceWorkload> TraceWorkload::from_string(
     const std::string& text) {
@@ -42,30 +66,41 @@ std::unique_ptr<TraceWorkload> TraceWorkload::from_string(
   while (std::getline(in, line)) {
     ++lineno;
     std::istringstream ls(line);
-    std::string first;
-    if (!(ls >> first) || first[0] == '#') continue;
-    int tid = std::atoi(first.c_str());
-    NC_ASSERT(tid >= 0 && tid < 1024, "trace tid out of range");
-    if (streams.size() <= static_cast<std::size_t>(tid)) {
-      streams.resize(static_cast<std::size_t>(tid) + 1);
+    std::vector<std::string> f;  // the line's whitespace-separated fields
+    for (std::string field; ls >> field;) f.push_back(std::move(field));
+    if (f.empty() || f[0][0] == '#') continue;
+    int tid = -1;
+    if (!parse_number(f[0], &tid) || tid < 0 || tid >= 1024) {
+      bad_line(lineno, line, "thread id must be an integer in [0, 1024)");
     }
-    std::string op;
-    NC_ASSERT(static_cast<bool>(ls >> op), "trace line missing op");
+    if (f.size() < 2) bad_line(lineno, line, "missing op (r, w, c or b)");
+    const std::string& op = f[1];
     TraceRecord rec{};
+    bool ok = false;
+    const char* form = nullptr;  // the op's syntax, for the error
     if (op == "r") {
       rec.op = TraceRecord::Op::kRead;
-      NC_ASSERT(static_cast<bool>(ls >> rec.addr), "read needs an address");
+      ok = f.size() == 3 && parse_number(f[2], &rec.addr);
+      form = "a read is '<tid> r <addr>'";
     } else if (op == "w") {
       rec.op = TraceRecord::Op::kWrite;
-      NC_ASSERT(static_cast<bool>(ls >> rec.addr >> rec.arg),
-                "write needs address and bytes");
+      ok = f.size() == 4 && parse_number(f[2], &rec.addr) &&
+           parse_number(f[3], &rec.arg);
+      form = "a write is '<tid> w <addr> <bytes>'";
     } else if (op == "c") {
       rec.op = TraceRecord::Op::kCompute;
-      NC_ASSERT(static_cast<bool>(ls >> rec.arg), "compute needs cycles");
+      ok = f.size() == 3 && parse_number(f[2], &rec.arg);
+      form = "a compute is '<tid> c <cycles>'";
     } else if (op == "b") {
       rec.op = TraceRecord::Op::kBarrier;
+      ok = f.size() == 2;
+      form = "a barrier is '<tid> b'";
     } else {
-      NC_ASSERT(false, "unknown trace op");
+      bad_line(lineno, line, "unknown op (expected r, w, c or b)");
+    }
+    if (!ok) bad_line(lineno, line, form);
+    if (streams.size() <= static_cast<std::size_t>(tid)) {
+      streams.resize(static_cast<std::size_t>(tid) + 1);
     }
     streams[static_cast<std::size_t>(tid)].push_back(rec);
   }
@@ -75,7 +110,7 @@ std::unique_ptr<TraceWorkload> TraceWorkload::from_string(
 std::unique_ptr<TraceWorkload> TraceWorkload::from_file(
     const std::string& path) {
   std::ifstream f(path);
-  NC_ASSERT(f.good(), "cannot open trace file");
+  if (!f) throw ConfigError("trace", path, "cannot open trace file");
   std::stringstream buf;
   buf << f.rdbuf();
   return from_string(buf.str());

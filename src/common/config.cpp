@@ -1,6 +1,7 @@
 #include "src/common/config.hpp"
 
 #include <cmath>
+#include <cstdlib>
 #include <string>
 
 #include "src/common/sim_error.hpp"
@@ -47,6 +48,15 @@ void reject_unless(bool ok, const char* key, T value, const char* why) {
 }
 
 }  // namespace
+
+void MachineConfig::apply_verify_env() {
+  // Environment opt-in so CI can verify a whole test suite without
+  // plumbing a flag through every driver.
+  const char* env = std::getenv("NETCACHE_VERIFY");
+  if (env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0')) {
+    verify = true;
+  }
+}
 
 void MachineConfig::validate() const {
   reject_unless(nodes > 0, "nodes", nodes, "need at least one node");

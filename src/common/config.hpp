@@ -138,7 +138,7 @@ struct MachineConfig {
   /// Runtime coherence oracle (src/verify/): shadow-memory model checking
   /// every cached hit against the per-block commit history plus the protocol
   /// invariants at transition points. Also enabled by NETCACHE_VERIFY=1 in
-  /// the environment (read at Machine construction). Off adds zero work.
+  /// the environment (see apply_verify_env). Off adds zero work.
   bool verify = false;
 
   /// Deterministic fault injection (src/faults/); inactive when spec empty.
@@ -147,6 +147,11 @@ struct MachineConfig {
   /// Throws ConfigError (naming the offending key and value) if the
   /// configuration is inconsistent or out of range.
   void validate() const;
+
+  /// Turns `verify` on when the NETCACHE_VERIFY environment variable is set
+  /// to anything but "" or "0". Machine construction and the result-cache
+  /// key both call it, so a cell is keyed exactly as Machine runs it.
+  void apply_verify_env();
 };
 
 /// All timing constants used by the protocol models, pre-derived from a

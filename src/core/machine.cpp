@@ -1,7 +1,6 @@
 #include "src/core/machine.hpp"
 
 #include <chrono>
-#include <cstdlib>
 
 #include "src/apps/workload.hpp"
 #include "src/common/nc_assert.hpp"
@@ -38,15 +37,7 @@ std::unique_ptr<Interconnect> make_interconnect(Machine& machine) {
 /// `config` with the NETCACHE_VERIFY override applied, validated. It
 /// initializes the first member, so no member is built from a bad config.
 MachineConfig checked_config(MachineConfig config) {
-  if (!config.verify) {
-    // Environment opt-in so CI can verify a whole test suite without
-    // plumbing a flag through every driver. "0"/"" mean off.
-    const char* env = std::getenv("NETCACHE_VERIFY");
-    if (env != nullptr && env[0] != '\0' &&
-        !(env[0] == '0' && env[1] == '\0')) {
-      config.verify = true;
-    }
-  }
+  config.apply_verify_env();
   config.validate();
   return config;
 }
@@ -166,7 +157,6 @@ RunSummary Machine::run(apps::Workload& workload,
   s.events = engine_.events_executed();
   s.wheel_pushes = engine_.queue_stats().wheel_pushes;
   s.overflow_pushes = engine_.queue_stats().overflow_pushes;
-  s.wheel_regrows = engine_.queue_stats().wheel_regrows;
   s.wall_seconds = wall_seconds;
   if (sharer_map_ != nullptr) snoop_.peak_blocks = sharer_map_->peak_blocks();
   s.snoop = snoop_;

@@ -43,8 +43,9 @@ struct RunSummary {
 
   // Timing-wheel occupancy for this run (deterministic, like events): how
   // many scheduled events landed in an O(1) wheel bucket vs the far-future
-  // overflow heap. Overflow traffic is the signal for re-sizing the wheel;
-  // wheel_regrows counts the one-shot 2x auto-resize firing mid-run.
+  // overflow heap. Overflow traffic is the signal for re-sizing the wheel.
+  // The wheel has a fixed size, so wheel_regrows is always 0; the field and
+  // its serialized key stay so recorded summaries and digests still read.
   std::uint64_t wheel_pushes = 0;
   std::uint64_t overflow_pushes = 0;
   std::uint64_t wheel_regrows = 0;

@@ -1,10 +1,9 @@
 #include "src/net/dmon/ispeed_net.hpp"
 
 #include "src/common/nc_assert.hpp"
-#include "src/core/sharer_map.hpp"
 #include "src/faults/faults.hpp"
+#include "src/net/update_common.hpp"
 #include "src/verify/oracle.hpp"
-#include "src/verify/sharer_audit.hpp"
 
 namespace netcache::net {
 
@@ -102,67 +101,11 @@ sim::Task<void> ISpeedNet::drain_write(NodeId src,
   co_await fabric_.broadcast(src, 0, lat_->invalidate_message);
   if (oracle_ != nullptr) oracle_->on_invalidate_broadcast(block);
 
-  // Invalidation delivery: same sharer-map fast path / full-scan split as
-  // deliver_update_broadcast (see src/net/update_common.cpp), audited the
-  // same way on verified runs.
-  core::SharerMap* sharers = machine_->sharer_map();
-  SnoopStats& snoop = machine_->snoop_stats();
-  const std::uint64_t others =
-      static_cast<std::uint64_t>(machine_->nodes() - 1);
-  ++snoop.deliveries;
-
-  // drop-invalidate: one sharer misses the broadcast. The fault needs a
-  // victim actually caching the block; otherwise it stays armed.
-  NodeId drop_victim = kNoNode;
-  if (sharers != nullptr) {
-    if (oracle_ != nullptr) {
-      verify::audit_sharer_map(*machine_, *sharers, block);
-    }
-    // The snapshot is required here (not just faster): apply_invalidate
-    // drops L2 lines, mutating the map mid-walk.
-    const std::vector<NodeId>& set = sharers->snapshot(block);
-    if (faults_ != nullptr &&
-        faults_->armed(faults::FaultKind::kDropInvalidate, eng.now())) {
-      for (NodeId n : set) {
-        if (n != src) {
-          drop_victim = n;
-          break;
-        }
-      }
-      if (drop_victim != kNoNode) {
-        faults_->consume(faults::FaultKind::kDropInvalidate);
-      }
-    }
-    std::uint64_t probed = 0;
-    for (NodeId n : set) {
-      if (n == src) continue;
-      ++probed;
-      if (n == drop_victim) continue;
-      machine_->node(n).apply_invalidate(block);
-    }
-    snoop.probes += probed;
-    snoop.probes_avoided += others - probed;
-    if (oracle_ != nullptr) oracle_->on_non_sharers_skipped(others - probed);
-  } else {
-    if (faults_ != nullptr &&
-        faults_->armed(faults::FaultKind::kDropInvalidate, eng.now())) {
-      for (NodeId n = 0; n < machine_->nodes(); ++n) {
-        if (n != src && machine_->node(n).l2().contains(block)) {
-          drop_victim = n;
-          break;
-        }
-      }
-      if (drop_victim != kNoNode) {
-        faults_->consume(faults::FaultKind::kDropInvalidate);
-      }
-    }
-    for (NodeId n = 0; n < machine_->nodes(); ++n) {
-      if (n != src && n != drop_victim) {
-        machine_->node(n).apply_invalidate(block);
-      }
-    }
-    snoop.probes += others;
-  }
+  // Invalidation delivery, the same snoop walk as an update broadcast.
+  // drop-invalidate: one sharer misses the broadcast.
+  const NodeId drop_victim =
+      deliver_snoop(*machine_, src, block, faults::FaultKind::kDropInvalidate,
+                    &core::Node::apply_invalidate);
   if (drop_victim != kNoNode) {
     if (faults_->recovery()) {
       // The victim's missing ack holds up the ownership grant until the

@@ -2,7 +2,8 @@
 // write-update stacks (NetCache, LambdaNet, DMON-U): snoop delivery to every
 // other node and the home-memory absorb. Both carry the coherence-oracle
 // hooks and the drop-update / corrupt-update fault-injection sites, so the
-// protocols stay free of triplicated robustness plumbing.
+// protocols stay free of triplicated robustness plumbing. The snoop walk
+// itself is shared with DMON-I's invalidation broadcast.
 #pragma once
 
 #include "src/common/types.hpp"
@@ -10,9 +11,23 @@
 
 namespace netcache::core {
 class Machine;
+class Node;
+}  // namespace netcache::core
+
+namespace netcache::faults {
+enum class FaultKind;
 }
 
 namespace netcache::net {
+
+/// Snoop delivery of a broadcast from `src`, at the current virtual instant:
+/// calls `apply` (Node::apply_remote_update or Node::apply_invalidate) on
+/// every other node that may hold `block_base` and keeps SnoopStats. When a
+/// `drop` fault is armed, the first other node caching the block misses the
+/// snoop; that victim is returned (kNoNode if none) for the caller's
+/// recovery.
+NodeId deliver_snoop(core::Machine& machine, NodeId src, Addr block_base,
+                     faults::FaultKind drop, void (core::Node::*apply)(Addr));
 
 /// Commit + snoop delivery, all at the current virtual instant: records the
 /// store commit with the oracle, applies the update snoop to every node but

@@ -21,20 +21,16 @@ Cycles Engine::run(const RunLimits& limits) {
   std::uint64_t stalled = 0;
   const std::uint64_t events_at_start = events_executed_;
   while (!queue_.empty()) {
-    // The popped event owns its boxed callable, if any: it is fired below
-    // or discarded before a watchdog throws.
-    Event ev = queue_.pop();
+    const Event ev = queue_.pop();
     if (limits.max_stalled_events) {
       stalled = ev.time == now_ ? stalled + 1 : 0;
       if (stalled > limits.max_stalled_events) {
         now_ = ev.time;
-        ev.discard();
         fail_run("virtual time stalled (livelock?)");
       }
     }
     now_ = ev.time;
     if (limits.max_cycles && now_ >= limits.max_cycles) {
-      ev.discard();
       fail_run("virtual-time budget (max_cycles) exhausted");
     }
     if (trace_.enabled()) {

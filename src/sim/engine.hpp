@@ -25,42 +25,19 @@ class Engine : public FailureContext {
   /// Current virtual time in pcycles.
   Cycles now() const { return now_; }
 
-  /// Schedules `action` (any callable) to run at now() + delay. The callable
-  /// is boxed once on the heap and the 32-byte event record holds the owning
-  /// pointer, so this is the slow path (only tests use it); prefer
-  /// schedule_resume when the action is just resuming a coroutine (the
-  /// record then holds the handle itself, no allocation), and schedule_op
-  /// when the action lives in an awaiter (the record holds a non-owning
-  /// EventOp pointer). `tag` (make_trace_tag) annotates the event in the
-  /// opt-in trace ring; 0 leaves it untagged.
-  template <typename F>
-  void schedule(Cycles delay, F&& action, std::uint16_t tag = 0) {
-    NC_ASSERT(delay >= 0, "cannot schedule into the past");
-    queue_.push(now_ + delay, std::forward<F>(action), tag);
-  }
-
-  /// Fast path: schedules `h.resume()` at now() + delay with no closure.
+  /// Schedules `h.resume()` at now() + delay. `tag` (make_trace_tag)
+  /// annotates the event in the opt-in trace ring; 0 leaves it untagged.
   void schedule_resume(Cycles delay, std::coroutine_handle<> h,
                        std::uint16_t tag = 0) {
     NC_ASSERT(delay >= 0, "cannot schedule into the past");
     queue_.push_resume(now_ + delay, h, tag);
   }
 
-  /// Fast path: runs `op->run(op)` at now() + delay with no allocation. The
-  /// record does not own `op`; it must stay in place until it fires (see
-  /// EventOp).
+  /// Runs `op->run(op)` at now() + delay. The event does not own `op`; it
+  /// must stay in place until it fires (see EventOp).
   void schedule_op(Cycles delay, EventOp* op, std::uint16_t tag = 0) {
     NC_ASSERT(delay >= 0, "cannot schedule into the past");
     queue_.push_op(now_ + delay, op, tag);
-  }
-
-  /// Bulk fast path: schedules `n` resumes at now() + delay in one bucket
-  /// insertion (see EventQueue::push_resume_batch). Fire order is the array
-  /// order, identical to n schedule_resume calls. All n share `tag`.
-  void schedule_resume_batch(Cycles delay, const std::coroutine_handle<>* hs,
-                             std::size_t n, std::uint16_t tag = 0) {
-    NC_ASSERT(delay >= 0, "cannot schedule into the past");
-    queue_.push_resume_batch(now_ + delay, hs, n, tag);
   }
 
   /// Detaches `t` as an independent process starting at now() + delay.

@@ -1,37 +1,32 @@
 // Time-ordered event queue for the discrete-event engine.
 //
 // Allocation-free in steady state:
-//  - Events are compact 32-byte records, not std::function. The dominant
-//    event kind — "resume this coroutine" — stores the raw coroutine address.
-//    The second — "run this op" — stores a non-owning EventOp pointer: the
-//    leaf awaiters (CPU accesses, resource holds) embed the op in the
-//    suspended caller's frame, so firing it costs no allocation and no
-//    coroutine frame. The rare genuine-callback case stores one owning
-//    pointer to a heap-boxed callable; only tests schedule callables, so the
-//    allocation never sits on a simulation's hot path. The record is
-//    trivially copyable; a boxed callable belongs to its event until it
-//    fires, is discarded, or is freed with the queue (see Event).
-//  - The queue is a hierarchical timing wheel: events within wheel_size()
-//    cycles of the cursor go into a power-of-two ring of FIFO buckets
-//    (O(1) push/pop); far-future events go to a small overflow min-heap and
-//    are merged back by (time, seq) when the cursor reaches them.
+//  - Events are plain 32-byte records, not std::function, and own nothing.
+//    The dominant event kind — "resume this coroutine" — stores the raw
+//    coroutine address. The other — "run this op" — stores a non-owning
+//    EventOp pointer: the leaf awaiters (CPU accesses, resource holds) embed
+//    the op in the suspended caller's frame, so firing it costs no
+//    allocation and no coroutine frame.
+//  - The queue is a hierarchical timing wheel: events within kWheelSize
+//    cycles of the cursor go into a fixed ring of FIFO buckets (O(1)
+//    push/pop); far-future events go to a small overflow min-heap and are
+//    merged back by (time, seq) when the cursor reaches them.
 //  - Bucket FIFOs are intrusive singly-linked lists threaded through one
 //    node pool with a free list, so queue memory is bounded by the peak
 //    number of pending events, not by how many ever shared a bucket.
 //  - The hot paths are inline: a push inside the horizon onto a non-empty
 //    queue, and a pop from the cursor's own bucket. The empty-queue snap,
-//    overflow, rebuild, regrow and the wheel scan stay out of line.
+//    overflow, rebuild and the wheel scan stay out of line.
 //
 // Determinism contract (same as the old priority-queue implementation):
 // events fire in (time, insertion-order) order, regardless of which internal
 // structure held them.
 #pragma once
 
+#include <array>
 #include <coroutine>
 #include <cstdint>
-#include <memory>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "src/common/nc_assert.hpp"
@@ -55,15 +50,11 @@ struct EventOp {
 };
 
 /// One scheduled event: a coroutine to resume (common case, a raw handle —
-/// no allocation, no indirection), a non-owning EventOp to run, or an owned,
-/// heap-boxed callable. Fire-once. 32 bytes: time, seq, tag, kind and one
-/// pointer (the queue's intrusive link rides in the padding).
-///
-/// Trivially copyable, so the queue moves records in and out of its node
-/// pool as plain copies. Ownership of a boxed callable therefore follows the
-/// event, not the record: it is freed when the event fires (fire()), when
-/// an unfired event is dropped (discard()), or by ~EventQueue for events
-/// still pending. A popped boxed event must be fired or discarded.
+/// no allocation, no indirection) or a non-owning EventOp to run. Plain
+/// data: 32 bytes (time, seq, tag, kind and one pointer; the queue's
+/// intrusive link rides in the padding), trivially copyable, owning nothing,
+/// so the queue moves records in and out of its node pool as plain copies
+/// and an event dropped unfired needs no clean-up.
 class Event {
  public:
   static Event make_resume(Cycles time, std::uint64_t seq,
@@ -87,44 +78,16 @@ class Event {
     return e;
   }
 
-  template <typename F>
-  static Event make_callback(Cycles time, std::uint64_t seq, F&& f,
-                             std::uint16_t tag = 0) {
-    Event e;
-    e.time = time;
-    e.seq = seq;
-    e.tag = tag;
-    Callback* cb = new Boxed<std::decay_t<F>>(std::forward<F>(f));
-    e.ptr_ = cb;
-    e.kind_ = Kind::kBoxed;
-    return e;
-  }
-
-  /// Runs the event, then frees a boxed callable. Consumes it: afterwards
-  /// the Event is empty.
-  void fire() {
-    void* p = std::exchange(ptr_, nullptr);
+  /// Runs the event: resumes the coroutine or calls the op.
+  void fire() const {
     // Plain resumes dominate every workload and are the whole of a pure
     // delay chain, so they take the first test.
     if (kind_ == Kind::kResume) [[likely]] {
-      if (p) std::coroutine_handle<>::from_address(p).resume();
+      if (ptr_) std::coroutine_handle<>::from_address(ptr_).resume();
       return;
     }
-    if (std::exchange(kind_, Kind::kResume) == Kind::kOp) {
-      auto* op = static_cast<EventOp*>(p);
-      op->run(op);
-    } else {
-      std::unique_ptr<Callback> cb(static_cast<Callback*>(p));
-      cb->run();
-    }
-  }
-
-  /// Drops the event unfired, freeing a boxed callable (resume and op
-  /// events own nothing). Afterwards the Event is empty.
-  void discard() {
-    if (kind_ == Kind::kBoxed) delete static_cast<Callback*>(ptr_);
-    kind_ = Kind::kResume;
-    ptr_ = nullptr;
+    auto* op = static_cast<EventOp*>(ptr_);
+    op->run(op);
   }
 
   bool is_resume() const { return kind_ == Kind::kResume && ptr_ != nullptr; }
@@ -139,111 +102,55 @@ class Event {
  private:
   friend class EventQueue;  // threads its bucket lists through next_
 
-  struct Callback {
-    Callback() = default;
-    Callback(const Callback&) = delete;
-    Callback& operator=(const Callback&) = delete;
-    virtual ~Callback() = default;
-    virtual void run() = 0;
-  };
-
-  template <typename Fn>
-  struct Boxed final : Callback {
-    template <typename F>
-    explicit Boxed(F&& f) : fn(std::forward<F>(f)) {}
-    void run() override { fn(); }
-    Fn fn;
-  };
-
-  /// What ptr_ holds. Only kBoxed owns its pointee.
-  enum class Kind : std::uint8_t { kResume, kBoxed, kOp };
+  /// What ptr_ holds.
+  enum class Kind : std::uint8_t { kResume, kOp };
 
   Kind kind_ = Kind::kResume;
   std::uint32_t next_ = 0;  // EventQueue node-pool link (bucket or free list)
-  void* ptr_ = nullptr;     // coroutine address, EventOp, owned Callback
+  void* ptr_ = nullptr;     // coroutine address or EventOp
 };
 
 static_assert(sizeof(Event) <= 32, "Event must stay a 32-byte record");
 static_assert(std::is_trivially_copyable_v<Event>,
               "the node pool copies events as plain bytes");
 
-/// Where pushed events landed, and how often the structures degraded —
-/// the observability needed to tune kWheelSize against real workloads.
-/// Overflow traffic is rare in practice: gauss records none at 16 nodes, and
-/// the 256-node cells about 0.6% of pushes (256-slot TDMA frames).
+/// Where pushed events landed: the observability needed to size kWheelSize
+/// against real workloads. Overflow traffic is rare in practice: gauss
+/// records none at 16 nodes, and the 256-node cells at most about 2% of
+/// pushes (256-slot TDMA frames).
 struct EventQueueStats {
   /// Events that landed in an O(1) wheel bucket on insertion.
   std::uint64_t wheel_pushes = 0;
   /// Events whose delay exceeded the wheel horizon (overflow min-heap,
   /// O(log n) push/pop).
   std::uint64_t overflow_pushes = 0;
-  /// Full re-bucketings triggered by below-cursor pushes (engine never does
-  /// this; nonzero only in direct queue tests).
-  std::uint64_t rebuilds = 0;
-  /// One-shot auto-sizing: 1 once overflow traffic crossed the regrow
-  /// threshold and the wheel was rebuilt at twice its size, else 0.
-  std::uint64_t wheel_regrows = 0;
-  /// High-water mark of the overflow heap.
-  std::uint64_t max_overflow_size = 0;
-
-  double overflow_fraction() const {
-    std::uint64_t total = wheel_pushes + overflow_pushes;
-    return total > 0 ? static_cast<double>(overflow_pushes) /
-                           static_cast<double>(total)
-                     : 0.0;
-  }
 };
 
 /// Hierarchical timing wheel with far-future overflow heap. Ties in time
 /// break by insertion order, which keeps the simulation deterministic.
 class EventQueue {
  public:
-  EventQueue();
-  /// Frees the boxed callables of events still pending.
-  ~EventQueue();
+  EventQueue() = default;
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  /// Near-future horizon: events within [cursor, cursor + wheel_size()) live
+  /// Near-future horizon: events within [cursor, cursor + kWheelSize) live
   /// in O(1) ring buckets; anything further sits in the overflow heap until
-  /// the cursor approaches. kWheelSize is the initial size; a workload whose
-  /// overflow traffic crosses the regrow threshold gets one rebuild at
-  /// double the horizon (see wheel_regrows in stats()).
+  /// the cursor approaches.
   static constexpr std::size_t kWheelBits = 12;
   static constexpr std::size_t kWheelSize = std::size_t{1} << kWheelBits;
 
-  /// Auto-sizing guard: once at least kRegrowMinPushes events have been
-  /// pushed, an overflow fraction above kRegrowOverflowFraction triggers the
-  /// one-shot 2x regrow. Checked on overflow pushes only, so the fast wheel
-  /// path pays nothing.
-  static constexpr std::uint64_t kRegrowMinPushes = 8192;
-  static constexpr double kRegrowOverflowFraction = 0.10;
-
-  template <typename F>
-  void push(Cycles time, F&& action, std::uint16_t tag = 0) {
-    insert(Event::make_callback(time, next_seq_++, std::forward<F>(action),
-                                tag));
-  }
-
-  /// Fast path: schedule a bare coroutine resume; no closure is built.
+  /// Schedules a bare coroutine resume.
   void push_resume(Cycles time, std::coroutine_handle<> h,
                    std::uint16_t tag = 0) {
     insert(Event::make_resume(time, next_seq_++, h, tag));
   }
 
-  /// Fast path: schedule `op->run(op)`; the event does not own `op`, which
-  /// must stay in place until it fires (see EventOp).
+  /// Schedules `op->run(op)`; the event does not own `op`, which must stay
+  /// in place until it fires (see EventOp).
   void push_op(Cycles time, EventOp* op, std::uint16_t tag = 0) {
     insert(Event::make_op(time, next_seq_++, op, tag));
   }
-
-  /// Bulk fast path: schedules `n` same-time resumes in one call — the
-  /// target bucket is located once and the handles linked in order (a
-  /// barrier release resumes every party at one instant; pushing them one by
-  /// one re-ran the bucket-selection logic per waiter). Fire order matches n
-  /// individual push_resume calls exactly. All n events share `tag`.
-  void push_resume_batch(Cycles time, const std::coroutine_handle<>* hs,
-                         std::size_t n, std::uint16_t tag = 0);
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
@@ -252,14 +159,13 @@ class EventQueue {
   Cycles next_time() const;
 
   /// Removes and returns the earliest event (FIFO among same-time events).
-  /// The caller takes over a boxed callable: fire() or discard() the event.
   Event pop() {
     NC_ASSERT(size_ > 0, "pop on empty queue");
-    // Fast path: the wheel spans [cursor_, cursor_ + wheel_size_), so the
+    // Fast path: the wheel spans [cursor_, cursor_ + kWheelSize), so the
     // cursor's own slot can only hold events at cursor_. When it is occupied
     // and nothing in the overflow heap is due at that instant, its head is
     // the global minimum; the cursor stays put.
-    const std::size_t cur = static_cast<std::size_t>(cursor_) & wheel_mask_;
+    const std::size_t cur = static_cast<std::size_t>(cursor_) & kWheelMask;
     if (buckets_[cur].head != kNil &&
         (overflow_.empty() || overflow_.front().time > cursor_)) [[likely]] {
       --size_;
@@ -271,15 +177,13 @@ class EventQueue {
   /// Wheel/overflow occupancy counters since construction.
   const EventQueueStats& stats() const { return stats_; }
 
-  /// Current wheel horizon (kWheelSize until a regrow fires, then 2x).
-  std::size_t wheel_size() const { return wheel_size_; }
-
   /// Nodes in the wheel's pool, live or free. Only grows when no free node
   /// is left, so it never exceeds the peak number of pending wheel events.
   std::size_t node_capacity() const { return nodes_.size(); }
 
  private:
   static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+  static constexpr std::size_t kWheelMask = kWheelSize - 1;
 
   /// One wheel slot: a FIFO of pool nodes linked through Event::next_.
   struct Bucket {
@@ -292,8 +196,8 @@ class EventQueue {
   /// rebuild and overflow go through insert_slow.
   void insert(const Event& e) {
     if (size_ != 0 && e.time >= cursor_ &&
-        e.time - cursor_ < static_cast<Cycles>(wheel_size_)) [[likely]] {
-      append(static_cast<std::size_t>(e.time) & wheel_mask_, e);
+        e.time - cursor_ < static_cast<Cycles>(kWheelSize)) [[likely]] {
+      append(static_cast<std::size_t>(e.time) & kWheelMask, e);
       ++stats_.wheel_pushes;
       ++size_;
       return;
@@ -326,9 +230,8 @@ class EventQueue {
   /// Appends one node to the pool and returns its index.
   std::uint32_t grow_pool();
 
-  /// Unlinks the head of (non-empty) bucket `idx` and frees its node. The
-  /// free node keeps a stale copy of the event, so nothing may read a free
-  /// node's callable (see ~EventQueue).
+  /// Unlinks the head of (non-empty) bucket `idx` and frees its node (which
+  /// keeps a stale copy of the event until the node is reused).
   Event take_head(std::size_t idx) {
     Bucket& b = buckets_[idx];
     const std::uint32_t n = b.head;
@@ -347,31 +250,17 @@ class EventQueue {
   /// pop() when the cursor's slot is empty or the overflow heap is due:
   /// scans the wheel and merges with the heap, then advances the cursor.
   Event pop_slow();
-  /// Calls `f` on every pending wheel event, bucket by bucket, FIFO order
-  /// within each (live lists only, never free nodes).
-  template <typename F>
-  void for_each_wheel_event(F&& f);
-  /// Copies every wheel event out (for_each_wheel_event order) and empties
-  /// the pool and the buckets.
-  void drain_wheel(std::vector<Event>& out);
-  /// Re-buckets every wheel event relative to a lower cursor. Only reachable
-  /// by pushing a time below the cursor, which the engine never does (its
-  /// clock is monotone); unit tests may.
+  /// Re-buckets every wheel event relative to a lower cursor. The cursor
+  /// snaps to the first push into an empty queue, so a handler that
+  /// schedules +100 and then +5 into an empty queue lands below it.
   void rebuild(Cycles new_cursor);
-  /// One-shot auto-sizing: doubles the wheel and re-buckets every pending
-  /// event (preserving (time, seq) fire order) once overflow traffic shows
-  /// the horizon is too short for this workload.
-  void maybe_regrow();
   /// Earliest occupied wheel slot time, or -1 if the wheel is empty.
   Cycles wheel_next_time() const;
 
   std::vector<Event> nodes_;             // node pool: wheel events + free
   std::uint32_t free_ = kNil;            // free-list head (through next_)
-  std::vector<Bucket> buckets_;          // wheel_size_ FIFO buckets
-  std::vector<std::uint64_t> occupied_;  // wheel_size_ / 64 bitmap words
-  std::size_t wheel_size_ = kWheelSize;  // always a power of two
-  std::size_t wheel_mask_ = kWheelSize - 1;
-  bool regrown_ = false;
+  std::array<Bucket, kWheelSize> buckets_{};
+  std::array<std::uint64_t, kWheelSize / 64> occupied_{};  // bucket bitmap
   std::vector<Event> overflow_;  // min-heap by (time, seq)
   Cycles cursor_ = 0;            // all pending events have time >= cursor_
   std::size_t size_ = 0;

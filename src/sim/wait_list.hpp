@@ -39,13 +39,12 @@ class WaitList {
     return Awaiter{this, &engine, tag};
   }
 
-  /// Resumes every waiter at the current time, in wait() order, via a single
-  /// bulk push into the current timing-wheel bucket. The resume events carry
-  /// a sync trace tag so failure-report tails show notify storms as such.
+  /// Resumes every waiter at the current time, in wait() order. The resume
+  /// events carry a sync trace tag so failure-report tails show notify
+  /// storms as such.
   void notify_all(Engine& engine) {
-    if (waiters_.empty()) return;
-    engine.schedule_resume_batch(0, waiters_.data(), waiters_.size(),
-                                 make_trace_tag(kNoNode, TraceTagKind::kSync));
+    const std::uint16_t tag = make_trace_tag(kNoNode, TraceTagKind::kSync);
+    for (std::coroutine_handle<> h : waiters_) engine.schedule_resume(0, h, tag);
     waiters_.clear();
   }
 

@@ -4,7 +4,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <mutex>
@@ -131,13 +130,7 @@ std::string ResultCache::key_description(const Cell& cell,
   if (cell.tweak) cell.tweak(cfg);
   // Machine() flips verify on under NETCACHE_VERIFY=1; a run keyed without
   // that bit could alias a verified and an unverified run. Mirror it.
-  if (!cfg.verify) {
-    const char* env = std::getenv("NETCACHE_VERIFY");
-    if (env != nullptr && env[0] != '\0' &&
-        !(env[0] == '0' && env[1] == '\0')) {
-      cfg.verify = true;
-    }
-  }
+  cfg.apply_verify_env();
 
   std::string d;
   append_kv(&d, "format", "netcache-result-cache-key v1");

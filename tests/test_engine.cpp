@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <coroutine>
 #include <vector>
 
 #include "src/common/sim_error.hpp"
@@ -9,11 +10,17 @@
 namespace netcache::sim {
 namespace {
 
+// Detached probe: records the engine time at which it runs.
+Task<void> mark(Engine* eng, std::vector<Cycles>* seen) {
+  seen->push_back(eng->now());
+  co_return;
+}
+
 TEST(Engine, ClockAdvancesToEventTimes) {
   Engine eng;
   std::vector<Cycles> seen;
-  eng.schedule(5, [&] { seen.push_back(eng.now()); });
-  eng.schedule(17, [&] { seen.push_back(eng.now()); });
+  eng.spawn(mark(&eng, &seen), 5);
+  eng.spawn(mark(&eng, &seen), 17);
   Cycles end = eng.run();
   EXPECT_EQ(seen, (std::vector<Cycles>{5, 17}));
   EXPECT_EQ(end, 17);
@@ -21,10 +28,29 @@ TEST(Engine, ClockAdvancesToEventTimes) {
 
 TEST(Engine, NestedSchedulingIsRelative) {
   Engine eng;
-  Cycles inner_time = -1;
-  eng.schedule(10, [&] { eng.schedule(7, [&] { inner_time = eng.now(); }); });
+  std::vector<Cycles> seen;
+  auto outer = [&]() -> Task<void> {
+    eng.spawn(mark(&eng, &seen), 7);
+    co_return;
+  };
+  eng.spawn(outer(), 10);
   eng.run();
-  EXPECT_EQ(inner_time, 17);
+  EXPECT_EQ(seen, (std::vector<Cycles>{17}));
+}
+
+TEST(Engine, PushBelowTheSnappedCursorFiresFirst) {
+  // The only pending event schedules +100 and then +5: the first push snaps
+  // the empty queue's cursor to 100, so the second lands below it.
+  Engine eng;
+  std::vector<Cycles> seen;
+  auto handler = [&]() -> Task<void> {
+    eng.spawn(mark(&eng, &seen), 100);
+    eng.spawn(mark(&eng, &seen), 5);
+    co_return;
+  };
+  eng.spawn(handler());
+  EXPECT_EQ(eng.run(), 100);
+  EXPECT_EQ(seen, (std::vector<Cycles>{5, 100}));
 }
 
 TEST(Engine, DelayAwaitableSuspendsForExactly) {
@@ -67,7 +93,7 @@ TEST(Engine, SpawnWithStartDelay) {
 
 TEST(Engine, CountsExecutedEvents) {
   Engine eng;
-  for (int i = 0; i < 5; ++i) eng.schedule(i, [] {});
+  for (int i = 0; i < 5; ++i) eng.schedule_resume(i, std::noop_coroutine());
   eng.run();
   EXPECT_EQ(eng.events_executed(), 5u);
 }
@@ -86,39 +112,35 @@ TEST(Engine, ManyConcurrentProcesses) {
   EXPECT_EQ(end, 200);
 }
 
-TEST(Engine, WatchdogThrowsFreeEveryBoxedCallable) {
-  // A boxed callable belongs to its event: the event run() popped just
-  // before a watchdog threw, and every event still pending when the engine
-  // is destroyed, must each free its callable exactly once.
-  int alive = 0;
-  struct Token {
-    int* alive;
-    explicit Token(int* a) : alive(a) { ++*alive; }
-    Token(const Token& o) : alive(o.alive) { ++*alive; }
-    ~Token() { --*alive; }
+TEST(Engine, WatchdogThrowsBeforeFiringThePoppedEvent) {
+  // The event run() pops just before a watchdog throws does not fire.
+  struct CountOp : EventOp {
+    explicit CountOp(int* n) : EventOp(&count), fired(n) {}
+    static void count(EventOp* op) { ++*static_cast<CountOp*>(op)->fired; }
+    int* fired;
   };
+  int fired = 0;
+  CountOp ops[4] = {CountOp(&fired), CountOp(&fired), CountOp(&fired),
+                    CountOp(&fired)};
   {
     Engine eng;
-    const Token tok(&alive);
-    for (Cycles t = 10; t <= 40; t += 10) {
-      eng.schedule(t, [tok] { (void)tok; });
-    }
+    for (int i = 0; i < 4; ++i) eng.schedule_op(10 * (i + 1), &ops[i]);
     RunLimits limits;
     limits.max_cycles = 20;  // @10 fires; @20 is popped, then run() throws
     EXPECT_THROW(eng.run(limits), SimError);
     EXPECT_EQ(eng.events_executed(), 1u);
+    EXPECT_EQ(fired, 1);
   }
-  EXPECT_EQ(alive, 0);
+  fired = 0;
   {
     Engine eng;
-    const Token tok(&alive);
-    for (int i = 0; i < 4; ++i) eng.schedule(5, [tok] { (void)tok; });
+    for (CountOp& op : ops) eng.schedule_op(5, &op);
     RunLimits limits;
     limits.max_stalled_events = 1;  // the third same-time pop throws
     EXPECT_THROW(eng.run(limits), SimError);
     EXPECT_EQ(eng.events_executed(), 2u);
+    EXPECT_EQ(fired, 2);
   }
-  EXPECT_EQ(alive, 0);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // the NC_ASSERT context dump. See DESIGN.md "Failure containment".
 #include <gtest/gtest.h>
 
+#include <coroutine>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -149,14 +150,22 @@ TEST(DeadlockDiagnosis, CleanRunLeavesNoBlockedWaiters) {
   EXPECT_TRUE(machine.engine().blocked().empty());
 }
 
+/// An op that reschedules itself `period` cycles out every time it fires.
+struct Ticker : sim::EventOp {
+  Ticker(Engine* e, Cycles p) : EventOp(&tick), eng(e), period(p) {}
+  static void tick(sim::EventOp* op) {
+    auto* self = static_cast<Ticker*>(op);
+    self->eng->schedule_op(self->period, self);
+  }
+  Engine* eng;
+  Cycles period;
+};
+
 TEST(Watchdog, TripsOnZeroDelayLivelock) {
-  // A NACK/retry spin: the callback reschedules itself at +0 forever.
+  // A NACK/retry spin: the op reschedules itself at +0 forever.
   Engine eng;
-  struct Spinner {
-    Engine* eng;
-    void operator()() const { eng->schedule(0, Spinner{eng}); }
-  };
-  eng.schedule(0, Spinner{&eng});
+  Ticker spinner(&eng, 0);
+  eng.schedule_op(0, &spinner);
   RunLimits limits;
   limits.max_stalled_events = 100;
   std::string report = diagnose([&] { eng.run(limits); });
@@ -166,7 +175,7 @@ TEST(Watchdog, TripsOnZeroDelayLivelock) {
 
 TEST(Watchdog, SameCycleBurstsBelowTheLimitPass) {
   Engine eng;
-  for (int i = 0; i < 50; ++i) eng.schedule(7, [] {});
+  for (int i = 0; i < 50; ++i) eng.schedule_resume(7, std::noop_coroutine());
   RunLimits limits;
   limits.max_stalled_events = 100;
   EXPECT_EQ(eng.run(limits), 7);
@@ -174,11 +183,8 @@ TEST(Watchdog, SameCycleBurstsBelowTheLimitPass) {
 
 TEST(Watchdog, TripsOnVirtualTimeBudget) {
   Engine eng;
-  struct Ticker {
-    Engine* eng;
-    void operator()() const { eng->schedule(10, Ticker{eng}); }
-  };
-  eng.schedule(0, Ticker{&eng});
+  Ticker ticker(&eng, 10);
+  eng.schedule_op(0, &ticker);
   RunLimits limits;
   limits.max_cycles = 500;
   std::string report = diagnose([&] { eng.run(limits); });
@@ -188,11 +194,8 @@ TEST(Watchdog, TripsOnVirtualTimeBudget) {
 
 TEST(Watchdog, TripsOnEventBudget) {
   Engine eng;
-  struct Ticker {
-    Engine* eng;
-    void operator()() const { eng->schedule(10, Ticker{eng}); }
-  };
-  eng.schedule(0, Ticker{&eng});
+  Ticker ticker(&eng, 10);
+  eng.schedule_op(0, &ticker);
   RunLimits limits;
   limits.max_events = 100;
   std::string report = diagnose([&] { eng.run(limits); });
@@ -202,7 +205,11 @@ TEST(Watchdog, TripsOnEventBudget) {
 TEST(Watchdog, ExactEventBudgetOnFinishedRunIsNotAnError) {
   Engine eng;
   int fired = 0;
-  for (int i = 0; i < 3; ++i) eng.schedule(i, [&] { ++fired; });
+  auto bump = [&]() -> Task<void> {
+    ++fired;
+    co_return;
+  };
+  for (int i = 0; i < 3; ++i) eng.spawn(bump(), i);
   RunLimits limits;
   limits.max_events = 3;  // the queue is empty exactly at the budget
   EXPECT_EQ(eng.run(limits), 2);
@@ -211,7 +218,7 @@ TEST(Watchdog, ExactEventBudgetOnFinishedRunIsNotAnError) {
 
 TEST(TraceRing, DisabledByDefault) {
   Engine eng;
-  eng.schedule(1, [] {});
+  eng.schedule_resume(1, std::noop_coroutine());
   eng.run();
   EXPECT_FALSE(eng.trace().enabled());
   EXPECT_EQ(eng.trace().recorded(), 0u);
@@ -221,7 +228,7 @@ TEST(TraceRing, DisabledByDefault) {
 TEST(TraceRing, KeepsTheLastKEvents) {
   Engine eng;
   eng.enable_trace(4);
-  for (int i = 0; i < 10; ++i) eng.schedule(i, [] {});
+  for (int i = 0; i < 10; ++i) eng.schedule_resume(i, std::noop_coroutine());
   eng.run();
   EXPECT_EQ(eng.trace().recorded(), 10u);
   EXPECT_EQ(eng.trace().capacity(), 4u);
@@ -236,9 +243,10 @@ TEST(TraceRing, DumpRendersKindsAndDepths) {
   eng.enable_trace(8);
   auto coro = [&]() -> Task<void> { co_await eng.delay(3); };
   eng.spawn(coro());
-  eng.schedule(5, [] {});
+  sim::EventOp nop([](sim::EventOp*) {});
+  eng.schedule_op(5, &nop);
   eng.run();
-  // spawn resume @0, delay resume @3, callback @5.
+  // spawn resume @0, delay resume @3, op @5 (traced as a callback).
   EXPECT_EQ(eng.trace().recorded(), 3u);
   std::string dump = eng.trace().dump();
   EXPECT_NE(dump.find("event trace tail (3 recorded, last 3 kept)"),
@@ -263,7 +271,7 @@ TEST(TraceRing, FailureReportCarriesTheTraceTail) {
 TEST(TraceRing, ReenableClearsHistory) {
   Engine eng;
   eng.enable_trace(4);
-  for (int i = 0; i < 6; ++i) eng.schedule(i, [] {});
+  for (int i = 0; i < 6; ++i) eng.schedule_resume(i, std::noop_coroutine());
   eng.run();
   eng.enable_trace(4);
   EXPECT_EQ(eng.trace().recorded(), 0u);

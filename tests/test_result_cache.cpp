@@ -200,6 +200,35 @@ TEST_F(ResultCacheTest, SharerTrackingIsExcludedFromTheKey) {
             core::serialize_summary(cold.summary));
 }
 
+// The key reads NETCACHE_VERIFY the way Machine does: any value but "" or
+// "0" keys a plain cell exactly like a verified one.
+TEST_F(ResultCacheTest, VerifyEnvironmentKeysLikeTheVerifyField) {
+  const char* forced = std::getenv("NETCACHE_VERIFY");
+  const std::string saved = forced != nullptr ? forced : "";
+  sweep::ResultCache cache(dir());
+  const sweep::Cell plain = fast_cell();
+  sweep::Cell verified = fast_cell();
+  verified.tweak = [](MachineConfig& cfg) { cfg.verify = true; };
+
+  unsetenv("NETCACHE_VERIFY");
+  const std::string plain_key = cache.key_for(plain);
+  const std::string verified_key = cache.key_for(verified);
+  EXPECT_NE(plain_key, verified_key);
+
+  setenv("NETCACHE_VERIFY", "1", 1);
+  EXPECT_EQ(cache.key_for(plain), verified_key);
+  EXPECT_EQ(cache.key_for(verified), verified_key);
+  for (const char* off : {"0", ""}) {
+    setenv("NETCACHE_VERIFY", off, 1);
+    EXPECT_EQ(cache.key_for(plain), plain_key) << "NETCACHE_VERIFY=" << off;
+  }
+  if (forced != nullptr) {
+    setenv("NETCACHE_VERIFY", saved.c_str(), 1);
+  } else {
+    unsetenv("NETCACHE_VERIFY");
+  }
+}
+
 TEST_F(ResultCacheTest, VersionFingerprintChangeInvalidatesEveryEntry) {
   // Two caches over one directory, differing only in the injected version —
   // exactly what any one-line source change does to the real fingerprint.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/sim_error.hpp"
 #include "src/core/machine.hpp"
 
 namespace netcache::apps {
@@ -81,13 +82,35 @@ TEST(Trace, ComputeAdvancesTime) {
   EXPECT_EQ(s.totals.compute_cycles, 12345);
 }
 
-TEST(Trace, MismatchedBarriersAbort) {
-  EXPECT_DEATH((void)TraceWorkload::from_string("0 b\n1 r 0\n"), "barriers");
+TEST(Trace, MismatchedBarriersAreConfigErrors) {
+  EXPECT_THROW((void)TraceWorkload::from_string("0 b\n1 r 0\n"), ConfigError);
+  EXPECT_THROW((void)TraceWorkload::from_string("# only a comment\n"),
+               ConfigError);
 }
 
-TEST(Trace, MalformedLineAborts) {
-  EXPECT_DEATH((void)TraceWorkload::from_string("0 r\n"), "address");
-  EXPECT_DEATH((void)TraceWorkload::from_string("0 x 1\n"), "unknown");
+TEST(Trace, MalformedLinesAreConfigErrorsNamingTheLine) {
+  for (const char* line :
+       {"0 r", "0 w 64", "0 c", "0 x 1", "0", "abc r 0", "-1 r 0", "1024 r 0",
+        "99999999999 r 0", "1x r 0", "0 r -64", "0 r 0x40", "0 c 5cycles",
+        "0 r 64 64", "0 b 1"}) {
+    const std::string text = std::string("0 r 0\n") + line + "\n";
+    try {
+      (void)TraceWorkload::from_string(text);
+      ADD_FAILURE() << "accepted \"" << line << "\"";
+    } catch (const ConfigError& e) {
+      EXPECT_EQ(e.key(), "trace line 2") << line;
+      EXPECT_EQ(e.value(), line);
+    }
+  }
+}
+
+TEST(Trace, UnopenablePathIsAConfigError) {
+  try {
+    (void)TraceWorkload::from_file("/nonexistent/trace.txt");
+    ADD_FAILURE() << "opened a nonexistent trace";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(e.value(), "/nonexistent/trace.txt");
+  }
 }
 
 }  // namespace

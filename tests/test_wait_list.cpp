@@ -10,6 +10,12 @@
 namespace netcache::sim {
 namespace {
 
+// Detached notifier: wakes every waiter on `wl` when it runs.
+Task<void> notify(Engine& eng, WaitList& wl) {
+  wl.notify_all(eng);
+  co_return;
+}
+
 TEST(WaitList, NotifyResumesAllWaiters) {
   Engine eng;
   WaitList wl;
@@ -19,7 +25,7 @@ TEST(WaitList, NotifyResumesAllWaiters) {
     ++resumed;
   };
   for (int i = 0; i < 5; ++i) eng.spawn(waiter());
-  eng.schedule(10, [&] { wl.notify_all(eng); });
+  eng.spawn(notify(eng, wl), 10);
   eng.run();
   EXPECT_EQ(resumed, 5);
 }
@@ -40,7 +46,7 @@ TEST(WaitList, WaitersResumeAtNotifyTime) {
     resumed_at = eng.now();
   };
   eng.spawn(waiter());
-  eng.schedule(42, [&] { wl.notify_all(eng); });
+  eng.spawn(notify(eng, wl), 42);
   eng.run();
   EXPECT_EQ(resumed_at, 42);
 }
@@ -56,8 +62,8 @@ TEST(WaitList, ReRegistrationAfterResume) {
     ++wakeups;
   };
   eng.spawn(waiter());
-  eng.schedule(5, [&] { wl.notify_all(eng); });
-  eng.schedule(10, [&] { wl.notify_all(eng); });
+  eng.spawn(notify(eng, wl), 5);
+  eng.spawn(notify(eng, wl), 10);
   eng.run();
   EXPECT_EQ(wakeups, 2);
 }
@@ -87,9 +93,9 @@ TEST(WaitList, NotificationsDoNotAccumulate) {
   EXPECT_TRUE(eng.blocked().empty());
 }
 
-TEST(WaitList, BatchedNotifyPreservesWaitOrder) {
-  // notify_all bulk-pushes every waiter into the current timing-wheel bucket
-  // in one call; the resume order must still be exactly the wait() order.
+TEST(WaitList, NotifyPreservesWaitOrder) {
+  // notify_all schedules every waiter at the current instant; the resume
+  // order must be exactly the wait() order.
   Engine eng;
   WaitList wl;
   std::vector<int> order;
@@ -98,14 +104,14 @@ TEST(WaitList, BatchedNotifyPreservesWaitOrder) {
     order.push_back(id);
   };
   for (int i = 0; i < 8; ++i) eng.spawn(waiter(i));
-  eng.schedule(3, [&] { wl.notify_all(eng); });
+  eng.spawn(notify(eng, wl), 3);
   eng.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
 }
 
-TEST(WaitList, BatchedNotifyInterleavesWithSingleSchedules) {
-  // Events scheduled before the batch at the same instant fire before it;
-  // events scheduled after fire after — seq order spans the bulk push.
+TEST(WaitList, NotifyInterleavesWithSameInstantSchedules) {
+  // Events scheduled before the notify at the same instant fire before the
+  // waiters; events scheduled after fire after them.
   Engine eng;
   WaitList wl;
   std::vector<int> order;
@@ -113,12 +119,18 @@ TEST(WaitList, BatchedNotifyInterleavesWithSingleSchedules) {
     co_await wl.wait(eng);
     order.push_back(id);
   };
-  for (int i = 0; i < 3; ++i) eng.spawn(waiter(i));
-  eng.schedule(7, [&] {
-    eng.schedule(0, [&] { order.push_back(-1); });  // before the batch
+  auto mark = [&](int id) -> Task<void> {
+    order.push_back(id);
+    co_return;
+  };
+  auto notifier = [&]() -> Task<void> {
+    eng.spawn(mark(-1));  // before the waiters
     wl.notify_all(eng);
-    eng.schedule(0, [&] { order.push_back(-2); });  // after the batch
-  });
+    eng.spawn(mark(-2));  // after the waiters
+    co_return;
+  };
+  for (int i = 0; i < 3; ++i) eng.spawn(waiter(i));
+  eng.spawn(notifier(), 7);
   eng.run();
   EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2, -2}));
 }
@@ -129,8 +141,7 @@ TEST(WaitList, WaitersRegisterWithBlockedRegistry) {
   auto waiter = [&]() -> Task<void> {
     co_await wl.wait(eng, {7, "unit"});
   };
-  eng.spawn(waiter());
-  eng.schedule(5, [&] {
+  auto check_then_notify = [&]() -> Task<void> {
     EXPECT_EQ(eng.blocked().size(), 1u);
     bool seen = false;
     eng.blocked().for_each([&](const BlockedInfo& b) {
@@ -143,7 +154,10 @@ TEST(WaitList, WaitersRegisterWithBlockedRegistry) {
     });
     EXPECT_TRUE(seen);
     wl.notify_all(eng);
-  });
+    co_return;
+  };
+  eng.spawn(waiter());
+  eng.spawn(check_then_notify(), 5);
   eng.run();
   EXPECT_TRUE(eng.blocked().empty());
 }
