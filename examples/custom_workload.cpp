@@ -5,12 +5,14 @@
 // and runs it on all four simulated systems.
 //
 //   ./example_custom_workload [elements]
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 #include <vector>
 
 #include "src/apps/workload.hpp"
 #include "src/common/rng.hpp"
+#include "src/common/sim_error.hpp"
 #include "src/core/machine.hpp"
 
 using namespace netcache;
@@ -95,8 +97,17 @@ class Histogram final : public apps::Workload {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  int elements = argc > 1 ? std::atoi(argv[1]) : 100000;
+int main(int argc, char** argv) try {
+  int elements = 100000;
+  if (argc > 1) {
+    // Strict: "abc", "0" or "-5" is a config error, not a silent atoi()
+    // value or a negative array size.
+    const char* end = argv[1] + std::strlen(argv[1]);
+    const auto [ptr, ec] = std::from_chars(argv[1], end, elements);
+    if (ec != std::errc() || ptr != end || elements < 1) {
+      throw ConfigError("elements", argv[1], "expected a positive integer");
+    }
+  }
   std::printf("parallel histogram, %d elements, 16 nodes\n", elements);
   for (SystemKind kind :
        {SystemKind::kNetCache, SystemKind::kLambdaNet,
@@ -110,4 +121,7 @@ int main(int argc, char** argv) {
     if (!summary.verified) return 1;
   }
   return 0;
+} catch (const SimError& e) {
+  std::fprintf(stderr, "custom_workload: %s\n", e.what());
+  return 1;
 }

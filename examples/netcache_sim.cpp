@@ -10,7 +10,6 @@
 //   ./example_netcache_sim --trace=foo.trace --system=lambdanet
 //   ./example_netcache_sim --help
 #include <climits>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -61,8 +60,8 @@ struct Options {
   std::uint64_t fault_seed = 0;
   bool fault_recovery = true;
   /// The shared sweep surface (--jobs, --cache, --isolate, --cell-timeout,
-  /// --cell-retries, --forensics) — parsed and validated by
-  /// src/sweep/flags.cpp, identically to reproduce.
+  /// --forensics) — parsed and validated by src/sweep/flags.cpp,
+  /// identically to reproduce.
   sweep::SweepFlags sweep;
 };
 
@@ -178,13 +177,8 @@ bool parse(int argc, char** argv, Options* opt) {
     if (parse_flag(a, "--synthetic", &v)) { opt->synthetic = v; continue; }
     if (parse_flag(a, "--system", &v)) { opt->system = v; continue; }
     if (parse_flag(a, "--nodes", &v)) { opt->nodes = parse_int_up_to("nodes", v, INT_MAX); continue; }
-    if (parse_flag(a, "--scale", &v)) {
-      opt->scale = parse_double("scale", v);
-      if (!std::isfinite(opt->scale) || opt->scale <= 0) {
-        throw ConfigError("scale", v, "expected a finite value > 0");
-      }
-      continue;
-    }
+    // apps::make_workload range-checks the scale.
+    if (parse_flag(a, "--scale", &v)) { opt->scale = parse_double("scale", v); continue; }
     // --l2-kb is multiplied by 1024 into an int byte count.
     if (parse_flag(a, "--l2-kb", &v)) { opt->l2_kb = parse_int_up_to("l2-kb", v, INT_MAX / 1024); continue; }
     if (parse_flag(a, "--channels", &v)) { opt->channels = parse_int_up_to("channels", v, INT_MAX); continue; }

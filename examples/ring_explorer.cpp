@@ -7,6 +7,7 @@
 #include <string>
 
 #include "src/apps/workload.hpp"
+#include "src/common/sim_error.hpp"
 #include "src/core/machine.hpp"
 
 using namespace netcache;
@@ -28,7 +29,7 @@ core::RunSummary run_once(const std::string& app, const RingConfig& ring) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   std::string app = argc > 1 ? argv[1] : "ocean";
   std::printf("shared-cache design space for %s (16 nodes)\n\n", app.c_str());
 
@@ -65,4 +66,8 @@ int main(int argc, char** argv) {
                 static_cast<long long>(s.run_time));
   }
   return 0;
+} catch (const SimError& e) {
+  // A bad app name: structured message, no core dump.
+  std::fprintf(stderr, "ring_explorer: %s\n", e.what());
+  return 1;
 }

@@ -47,6 +47,36 @@ namespace {
   throw ConfigError("trace line " + std::to_string(lineno), line, why);
 }
 
+/// Record `r` of thread `tid` as one line of the text format, without the
+/// newline.
+std::string record_text(std::size_t tid, const TraceRecord& r) {
+  char buf[96];
+  switch (r.op) {
+    case TraceRecord::Op::kRead:
+      std::snprintf(buf, sizeof(buf), "%zu r %llu", tid,
+                    static_cast<unsigned long long>(r.addr));
+      break;
+    case TraceRecord::Op::kWrite:
+      std::snprintf(buf, sizeof(buf), "%zu w %llu %lld", tid,
+                    static_cast<unsigned long long>(r.addr),
+                    static_cast<long long>(r.arg));
+      break;
+    case TraceRecord::Op::kCompute:
+      std::snprintf(buf, sizeof(buf), "%zu c %lld", tid,
+                    static_cast<long long>(r.arg));
+      break;
+    case TraceRecord::Op::kBarrier:
+      std::snprintf(buf, sizeof(buf), "%zu b", tid);
+      break;
+  }
+  return buf;
+}
+
+/// Bytes a write record stores (a size below one stores one byte).
+std::int64_t write_bytes(const TraceRecord& r) {
+  return std::max<std::int64_t>(1, r.arg);
+}
+
 /// True when all of `field` parses as a decimal T (no sign if unsigned).
 template <typename T>
 bool parse_number(const std::string& field, T* out) {
@@ -118,17 +148,35 @@ std::unique_ptr<TraceWorkload> TraceWorkload::from_file(
 
 void TraceWorkload::setup(core::Machine& machine) {
   machine_nodes_ = machine.nodes();
+  core::AddressSpace& as = machine.address_space();
+  const std::int64_t block = as.block_bytes();
+  // Every traced address is replayed at base_ + addr, and base_ is
+  // block-aligned, so these checks judge the replayed accesses.
   Addr max_addr = 0;
-  for (const auto& s : streams_) {
-    for (const TraceRecord& r : s) {
-      if (r.op == TraceRecord::Op::kRead ||
-          r.op == TraceRecord::Op::kWrite) {
-        max_addr = std::max(max_addr, r.addr + 64);
+  for (std::size_t tid = 0; tid < streams_.size(); ++tid) {
+    for (const TraceRecord& r : streams_[tid]) {
+      if (r.op != TraceRecord::Op::kRead && r.op != TraceRecord::Op::kWrite) {
+        continue;
       }
+      // The heap allocation below spans the highest address plus 128 bytes;
+      // the first test keeps that sum from wrapping.
+      if (r.addr >= core::AddressSpace::kSharedHeapBytes ||
+          !as.fits_shared(static_cast<std::size_t>(r.addr) + 128)) {
+        throw ConfigError("trace", record_text(tid, r),
+                          "address does not fit the 2^47-byte shared heap");
+      }
+      if (r.op == TraceRecord::Op::kWrite &&
+          static_cast<std::int64_t>(r.addr % static_cast<Addr>(block)) +
+                  write_bytes(r) >
+              block) {
+        throw ConfigError("trace", record_text(tid, r),
+                          "a write must lie within one " +
+                              std::to_string(block) + "-byte L2 block");
+      }
+      max_addr = std::max(max_addr, r.addr + 64);
     }
   }
-  base_ = machine.address_space().alloc_shared(
-      static_cast<std::size_t>(max_addr) + 64);
+  base_ = as.alloc_shared(static_cast<std::size_t>(max_addr) + 64);
   barrier_ = &machine.make_barrier(machine.nodes());
 }
 
@@ -153,8 +201,7 @@ sim::Task<void> TraceWorkload::run(core::Cpu& cpu, int tid) {
         co_await cpu.read(base_ + r.addr);
         break;
       case TraceRecord::Op::kWrite:
-        co_await cpu.write(base_ + r.addr,
-                           std::max<std::int64_t>(1, r.arg));
+        co_await cpu.write(base_ + r.addr, static_cast<int>(write_bytes(r)));
         break;
       case TraceRecord::Op::kCompute:
         co_await cpu.compute(r.arg);
@@ -171,28 +218,10 @@ sim::Task<void> TraceWorkload::run(core::Cpu& cpu, int tid) {
 std::string trace_to_string(
     const std::vector<std::vector<TraceRecord>>& streams) {
   std::string out;
-  char buf[96];
   for (std::size_t tid = 0; tid < streams.size(); ++tid) {
     for (const TraceRecord& r : streams[tid]) {
-      switch (r.op) {
-        case TraceRecord::Op::kRead:
-          std::snprintf(buf, sizeof(buf), "%zu r %llu\n", tid,
-                        static_cast<unsigned long long>(r.addr));
-          break;
-        case TraceRecord::Op::kWrite:
-          std::snprintf(buf, sizeof(buf), "%zu w %llu %lld\n", tid,
-                        static_cast<unsigned long long>(r.addr),
-                        static_cast<long long>(r.arg));
-          break;
-        case TraceRecord::Op::kCompute:
-          std::snprintf(buf, sizeof(buf), "%zu c %lld\n", tid,
-                        static_cast<long long>(r.arg));
-          break;
-        case TraceRecord::Op::kBarrier:
-          std::snprintf(buf, sizeof(buf), "%zu b\n", tid);
-          break;
-      }
-      out += buf;
+      out += record_text(tid, r);
+      out += '\n';
     }
   }
   return out;

@@ -1,5 +1,7 @@
 #include "src/apps/workload.hpp"
 
+#include <cstdio>
+
 #include "src/common/sim_error.hpp"
 
 namespace netcache::apps {
@@ -13,6 +15,15 @@ const std::vector<std::string>& workload_names() {
 
 std::unique_ptr<Workload> make_workload(const std::string& name,
                                         const WorkloadParams& params) {
+  // Written so that nan fails it too.
+  if (!(params.scale > 0 && params.scale <= kMaxScale)) {
+    char value[32];
+    char why[64];
+    std::snprintf(value, sizeof(value), "%g", params.scale);
+    std::snprintf(why, sizeof(why), "expected a finite value in (0, %g]",
+                  kMaxScale);
+    throw ConfigError("scale", value, why);
+  }
   if (name == "cg") return make_cg(params);
   if (name == "em3d") return make_em3d(params);
   if (name == "fft") return make_fft(params);

@@ -23,6 +23,7 @@ namespace netcache::apps {
 struct WorkloadParams {
   bool paper_size = false;
   /// Multiplies the default (reduced) problem size; ignored with paper_size.
+  /// Must lie in (0, kMaxScale].
   double scale = 1.0;
   std::uint64_t seed = 0xC0FFEEull;
 };
@@ -155,12 +156,18 @@ inline Range partition(std::size_t count, int tid, int threads) {
 
 // ---- Factory -------------------------------------------------------------
 
+/// Largest WorkloadParams::scale the factory accepts. Each app converts a
+/// scaled size to int, and radix's 131072 x scale keys is the largest: at
+/// 1024 it is 2^27, well inside int (the limit is a scale just under 16384).
+inline constexpr double kMaxScale = 1024;
+
 /// Names of all twelve applications, in the paper's Table 4 order.
 const std::vector<std::string>& workload_names();
 
 /// Creates a workload by name ("cg", "em3d", "fft", "gauss", "lu", "mg",
 /// "ocean", "radix", "raytrace", "sor", "water", "wf"). Throws ConfigError
-/// for any other name.
+/// for any other name, and for a scale that is not finite or lies outside
+/// (0, kMaxScale].
 std::unique_ptr<Workload> make_workload(const std::string& name,
                                         const WorkloadParams& params = {});
 

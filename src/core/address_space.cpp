@@ -16,13 +16,16 @@ AddressSpace::AddressSpace(int nodes, int block_bytes)
 
 Addr AddressSpace::alloc_shared(std::size_t bytes) {
   NC_ASSERT(bytes > 0, "empty allocation");
+  NC_ASSERT(fits_shared(bytes), "shared heap overflow");
   Addr base = static_cast<Addr>(shared_top_);
-  std::size_t aligned =
-      (bytes + static_cast<std::size_t>(block_bytes_) - 1) &
-      ~(static_cast<std::size_t>(block_bytes_) - 1);
-  shared_top_ += aligned;
-  NC_ASSERT(shared_top_ < (std::size_t{1} << 47), "shared heap overflow");
+  shared_top_ += aligned(bytes);
   return base;
+}
+
+bool AddressSpace::fits_shared(std::size_t bytes) const {
+  // The first test keeps aligned() from overflowing.
+  return bytes < kSharedHeapBytes - shared_top_ &&
+         shared_top_ + aligned(bytes) < kSharedHeapBytes;
 }
 
 Addr AddressSpace::alloc_private(NodeId node, std::size_t bytes) {
@@ -35,10 +38,7 @@ Addr AddressSpace::alloc_private(NodeId node, std::size_t bytes) {
   Addr base = kPrivateBit |
               (static_cast<Addr>(node) << kPrivateNodeShift) |
               static_cast<Addr>(top);
-  std::size_t aligned =
-      (bytes + static_cast<std::size_t>(block_bytes_) - 1) &
-      ~(static_cast<std::size_t>(block_bytes_) - 1);
-  top += aligned;
+  top += aligned(bytes);
   NC_ASSERT(top < (std::size_t{1} << kPrivateNodeShift),
             "private heap overflow");
   return base;

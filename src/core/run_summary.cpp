@@ -38,32 +38,114 @@ std::string format_summary(const RunSummary& s) {
 
 namespace {
 
+// The one field list of a serialized RunSummary, in record order: the writer
+// and the strict reader both walk it, so a new field is one line here. The
+// histogram is the one compound field (one key per bucket, then .total and
+// .sum). SnoopStats stay out (see run_summary.hpp).
+template <typename Summary, typename Visitor>
+void visit_fields(Summary& s, Visitor& v) {
+  v("system", s.system);
+  v("app", s.app);
+  v("nodes", s.nodes);
+  v("run_time", s.run_time);
+  v("verified", s.verified);
+
+  auto& t = s.totals;
+  v("t.reads", t.reads);
+  v("t.l1_hits", t.l1_hits);
+  v("t.l2_hits", t.l2_hits);
+  v("t.l2_misses", t.l2_misses);
+  v("t.local_mem_reads", t.local_mem_reads);
+  v("t.read_cycles", t.read_cycles);
+  v("t.l2_miss_cycles", t.l2_miss_cycles);
+  v("t.shared_cache_hits", t.shared_cache_hits);
+  v("t.shared_cache_misses", t.shared_cache_misses);
+  v("t.race_window_delays", t.race_window_delays);
+  v("t.writes", t.writes);
+  v("t.updates_sent", t.updates_sent);
+  v("t.update_words", t.update_words);
+  v("t.ownership_requests", t.ownership_requests);
+  v("t.invalidations_received", t.invalidations_received);
+  v("t.writebacks", t.writebacks);
+  v("t.wb_full_stall_cycles", t.wb_full_stall_cycles);
+  v("t.prefetches_issued", t.prefetches_issued);
+  v("t.prefetches_useful", t.prefetches_useful);
+  v("t.lock_acquires", t.lock_acquires);
+  v("t.barrier_waits", t.barrier_waits);
+  v("t.sync_cycles", t.sync_cycles);
+  v("t.compute_cycles", t.compute_cycles);
+  v("t.finish_time", t.finish_time);
+  v("t.hist", t.read_latency_hist);
+
+  v("shared_cache_hit_rate", s.shared_cache_hit_rate);
+  v("avg_read_latency", s.avg_read_latency);
+  v("avg_l2_miss_latency", s.avg_l2_miss_latency);
+  v("read_latency_fraction", s.read_latency_fraction);
+  v("sync_fraction", s.sync_fraction);
+  v("read_latency_p50", s.read_latency_p50);
+  v("read_latency_p90", s.read_latency_p90);
+  v("read_latency_p99", s.read_latency_p99);
+  v("events", s.events);
+
+  v("verify_enabled", s.verify_enabled);
+  v("o.loads_checked", s.oracle.loads_checked);
+  v("o.stores_committed", s.oracle.stores_committed);
+  v("o.updates_delivered", s.oracle.updates_delivered);
+  v("o.invalidations_delivered", s.oracle.invalidations_delivered);
+  v("o.fills", s.oracle.fills);
+  v("o.ring_checks", s.oracle.ring_checks);
+  v("o.grants_checked", s.oracle.grants_checked);
+  v("o.drains_checked", s.oracle.drains_checked);
+  v("o.blocks_tracked", s.oracle.blocks_tracked);
+  v("faults_enabled", s.faults_enabled);
+  v("f.injected", s.faults.injected);
+  v("f.recovered", s.faults.recovered);
+  v("f.retries", s.faults.retries);
+  v("f.unrecovered", s.faults.unrecovered);
+
+  v("wheel_pushes", s.wheel_pushes);
+  v("overflow_pushes", s.overflow_pushes);
+  v("wheel_regrows", s.wheel_regrows);
+  v("wall_seconds", s.wall_seconds);
+}
+
+/// "<key>.<suffix>" for the histogram's per-bucket and summary keys.
+std::string subkey(const char* key, const std::string& suffix) {
+  return std::string(key) + "." + suffix;
+}
+
 // Line-oriented `key value` records. Doubles go through %a (C99 hex-float):
 // strtod() parses it back to the exact same bits, which is what makes a
 // cache hit byte-identical to the run that produced it.
 class Writer {
  public:
-  void u64(const char* key, std::uint64_t v) {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "%s %llu\n", key,
-                  static_cast<unsigned long long>(v));
-    out_ += buf;
-  }
-  void i64(const char* key, long long v) {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "%s %lld\n", key, v);
-    out_ += buf;
-  }
-  void f64(const char* key, double v) {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "%s %a\n", key, v);
-    out_ += buf;
-  }
-  void str(const char* key, const std::string& v) {
+  void operator()(const char* key, const std::string& v) {
     out_ += key;
     out_ += ' ';
     out_ += v;
     out_ += '\n';
+  }
+  void operator()(const char* key, int v) { (*this)(key, std::to_string(v)); }
+  void operator()(const char* key, std::int64_t v) {
+    (*this)(key, std::to_string(v));
+  }
+  void operator()(const char* key, std::uint64_t v) {
+    (*this)(key, std::to_string(v));
+  }
+  void operator()(const char* key, bool v) {
+    (*this)(key, std::string(v ? "1" : "0"));
+  }
+  void operator()(const char* key, double v) {
+    char value[64];
+    std::snprintf(value, sizeof(value), "%a", v);
+    (*this)(key, std::string(value));
+  }
+  void operator()(const char* key, const LatencyHistogram& h) {
+    for (int b = 0; b < LatencyHistogram::kBuckets; ++b) {
+      (*this)(subkey(key, std::to_string(b)).c_str(), h.count_in(b));
+    }
+    (*this)(subkey(key, "total").c_str(), h.total());
+    (*this)(subkey(key, "sum").c_str(), h.sum_cycles());
   }
   std::string take() { return std::move(out_); }
 
@@ -71,8 +153,9 @@ class Writer {
   std::string out_;
 };
 
-// Parsed record: key -> raw value text. Missing keys fail deserialization,
-// so a summary written by a build with fewer fields never half-loads.
+// Parsed record: key -> raw value text. A missing key or an unparsable value
+// fails the whole read, so a summary written by a build with fewer fields
+// never half-loads.
 class Reader {
  public:
   explicit Reader(const std::string& text) {
@@ -94,44 +177,63 @@ class Reader {
 
   bool ok() const { return ok_; }
 
-  bool u64(const char* key, std::uint64_t* v) {
-    const std::string* raw = find(key);
-    if (raw == nullptr) return false;
-    char* end = nullptr;
-    *v = std::strtoull(raw->c_str(), &end, 10);
-    return end != raw->c_str() && *end == '\0';
+  void operator()(const char* key, std::string& v) {
+    if (const std::string* raw = find(key)) v = *raw;
   }
-  bool i64(const char* key, long long* v) {
-    const std::string* raw = find(key);
-    if (raw == nullptr) return false;
-    char* end = nullptr;
-    *v = std::strtoll(raw->c_str(), &end, 10);
-    return end != raw->c_str() && *end == '\0';
+  void operator()(const char* key, int& v) {
+    std::int64_t n = 0;
+    (*this)(key, n);
+    v = static_cast<int>(n);
   }
-  bool f64(const char* key, double* v) {
-    const std::string* raw = find(key);
-    if (raw == nullptr) return false;
-    char* end = nullptr;
-    *v = std::strtod(raw->c_str(), &end);
-    return end != raw->c_str() && *end == '\0';
+  void operator()(const char* key, std::int64_t& v) {
+    parse(key, &v, [](const char* p, char** end) {
+      return std::strtoll(p, end, 10);
+    });
   }
-  bool boolean(const char* key, bool* v) {
+  void operator()(const char* key, std::uint64_t& v) {
+    parse(key, &v, [](const char* p, char** end) {
+      return std::strtoull(p, end, 10);
+    });
+  }
+  void operator()(const char* key, bool& v) {
     std::uint64_t n = 0;
-    if (!u64(key, &n) || n > 1) return false;
-    *v = n != 0;
-    return true;
+    (*this)(key, n);
+    if (n > 1) ok_ = false;
+    v = n != 0;
   }
-  bool str(const char* key, std::string* v) {
-    const std::string* raw = find(key);
-    if (raw == nullptr) return false;
-    *v = *raw;
-    return true;
+  void operator()(const char* key, double& v) {
+    parse(key, &v, [](const char* p, char** end) { return std::strtod(p, end); });
+  }
+  void operator()(const char* key, LatencyHistogram& h) {
+    std::array<std::uint64_t, LatencyHistogram::kBuckets> counts{};
+    for (int b = 0; b < LatencyHistogram::kBuckets; ++b) {
+      (*this)(subkey(key, std::to_string(b)).c_str(),
+              counts[static_cast<std::size_t>(b)]);
+    }
+    std::uint64_t total = 0;
+    std::uint64_t sum = 0;
+    (*this)(subkey(key, "total").c_str(), total);
+    (*this)(subkey(key, "sum").c_str(), sum);
+    if (ok_) h.restore(counts, total, sum);
   }
 
  private:
-  const std::string* find(const char* key) const {
+  /// The raw value of `key`; null (and the read failed) when it is missing.
+  const std::string* find(const char* key) {
     auto it = fields_.find(key);
-    return it == fields_.end() ? nullptr : &it->second;
+    if (it != fields_.end()) return &it->second;
+    ok_ = false;
+    return nullptr;
+  }
+
+  /// Parses all of `key`'s value with `convert` (a strto* call).
+  template <typename T, typename Convert>
+  void parse(const char* key, T* v, Convert convert) {
+    const std::string* raw = find(key);
+    if (raw == nullptr) return;
+    char* end = nullptr;
+    *v = static_cast<T>(convert(raw->c_str(), &end));
+    if (end == raw->c_str() || *end != '\0') ok_ = false;
   }
 
   std::map<std::string, std::string> fields_;
@@ -144,174 +246,19 @@ constexpr const char* kSummaryVersion = "run-summary-v1";
 
 std::string serialize_summary(const RunSummary& s) {
   Writer w;
-  w.str("format", kSummaryVersion);
-  w.str("system", s.system);
-  w.str("app", s.app);
-  w.i64("nodes", s.nodes);
-  w.i64("run_time", static_cast<long long>(s.run_time));
-  w.u64("verified", s.verified ? 1 : 0);
-
-  const NodeStats& t = s.totals;
-  w.u64("t.reads", t.reads);
-  w.u64("t.l1_hits", t.l1_hits);
-  w.u64("t.l2_hits", t.l2_hits);
-  w.u64("t.l2_misses", t.l2_misses);
-  w.u64("t.local_mem_reads", t.local_mem_reads);
-  w.i64("t.read_cycles", static_cast<long long>(t.read_cycles));
-  w.i64("t.l2_miss_cycles", static_cast<long long>(t.l2_miss_cycles));
-  w.u64("t.shared_cache_hits", t.shared_cache_hits);
-  w.u64("t.shared_cache_misses", t.shared_cache_misses);
-  w.u64("t.race_window_delays", t.race_window_delays);
-  w.u64("t.writes", t.writes);
-  w.u64("t.updates_sent", t.updates_sent);
-  w.u64("t.update_words", t.update_words);
-  w.u64("t.ownership_requests", t.ownership_requests);
-  w.u64("t.invalidations_received", t.invalidations_received);
-  w.u64("t.writebacks", t.writebacks);
-  w.i64("t.wb_full_stall_cycles", static_cast<long long>(t.wb_full_stall_cycles));
-  w.u64("t.prefetches_issued", t.prefetches_issued);
-  w.u64("t.prefetches_useful", t.prefetches_useful);
-  w.u64("t.lock_acquires", t.lock_acquires);
-  w.u64("t.barrier_waits", t.barrier_waits);
-  w.i64("t.sync_cycles", static_cast<long long>(t.sync_cycles));
-  w.i64("t.compute_cycles", static_cast<long long>(t.compute_cycles));
-  w.i64("t.finish_time", static_cast<long long>(t.finish_time));
-  for (int b = 0; b < LatencyHistogram::kBuckets; ++b) {
-    char key[32];
-    std::snprintf(key, sizeof(key), "t.hist.%d", b);
-    w.u64(key, t.read_latency_hist.count_in(b));
-  }
-  w.u64("t.hist.total", t.read_latency_hist.total());
-  w.u64("t.hist.sum", t.read_latency_hist.sum_cycles());
-
-  w.f64("shared_cache_hit_rate", s.shared_cache_hit_rate);
-  w.f64("avg_read_latency", s.avg_read_latency);
-  w.f64("avg_l2_miss_latency", s.avg_l2_miss_latency);
-  w.f64("read_latency_fraction", s.read_latency_fraction);
-  w.f64("sync_fraction", s.sync_fraction);
-  w.i64("read_latency_p50", static_cast<long long>(s.read_latency_p50));
-  w.i64("read_latency_p90", static_cast<long long>(s.read_latency_p90));
-  w.i64("read_latency_p99", static_cast<long long>(s.read_latency_p99));
-  w.u64("events", s.events);
-
-  w.u64("verify_enabled", s.verify_enabled ? 1 : 0);
-  w.u64("o.loads_checked", s.oracle.loads_checked);
-  w.u64("o.stores_committed", s.oracle.stores_committed);
-  w.u64("o.updates_delivered", s.oracle.updates_delivered);
-  w.u64("o.invalidations_delivered", s.oracle.invalidations_delivered);
-  w.u64("o.fills", s.oracle.fills);
-  w.u64("o.ring_checks", s.oracle.ring_checks);
-  w.u64("o.grants_checked", s.oracle.grants_checked);
-  w.u64("o.drains_checked", s.oracle.drains_checked);
-  w.u64("o.blocks_tracked", s.oracle.blocks_tracked);
-  w.u64("faults_enabled", s.faults_enabled ? 1 : 0);
-  w.u64("f.injected", s.faults.injected);
-  w.u64("f.recovered", s.faults.recovered);
-  w.u64("f.retries", s.faults.retries);
-  w.u64("f.unrecovered", s.faults.unrecovered);
-
-  w.u64("wheel_pushes", s.wheel_pushes);
-  w.u64("overflow_pushes", s.overflow_pushes);
-  w.u64("wheel_regrows", s.wheel_regrows);
-  w.f64("wall_seconds", s.wall_seconds);
+  w("format", std::string(kSummaryVersion));
+  visit_fields(s, w);
   return w.take();
 }
 
 bool deserialize_summary(const std::string& text, RunSummary* out) {
   Reader r(text);
-  if (!r.ok()) return false;
   std::string format;
-  if (!r.str("format", &format) || format != kSummaryVersion) return false;
-
+  r("format", format);
+  if (!r.ok() || format != kSummaryVersion) return false;
   RunSummary s;
-  long long ll = 0;
-  bool ok = true;
-  ok = ok && r.str("system", &s.system);
-  ok = ok && r.str("app", &s.app);
-  ok = ok && r.i64("nodes", &ll);
-  s.nodes = static_cast<int>(ll);
-  ok = ok && r.i64("run_time", &ll);
-  s.run_time = static_cast<Cycles>(ll);
-  ok = ok && r.boolean("verified", &s.verified);
-
-  NodeStats& t = s.totals;
-  ok = ok && r.u64("t.reads", &t.reads);
-  ok = ok && r.u64("t.l1_hits", &t.l1_hits);
-  ok = ok && r.u64("t.l2_hits", &t.l2_hits);
-  ok = ok && r.u64("t.l2_misses", &t.l2_misses);
-  ok = ok && r.u64("t.local_mem_reads", &t.local_mem_reads);
-  ok = ok && r.i64("t.read_cycles", &ll);
-  t.read_cycles = static_cast<Cycles>(ll);
-  ok = ok && r.i64("t.l2_miss_cycles", &ll);
-  t.l2_miss_cycles = static_cast<Cycles>(ll);
-  ok = ok && r.u64("t.shared_cache_hits", &t.shared_cache_hits);
-  ok = ok && r.u64("t.shared_cache_misses", &t.shared_cache_misses);
-  ok = ok && r.u64("t.race_window_delays", &t.race_window_delays);
-  ok = ok && r.u64("t.writes", &t.writes);
-  ok = ok && r.u64("t.updates_sent", &t.updates_sent);
-  ok = ok && r.u64("t.update_words", &t.update_words);
-  ok = ok && r.u64("t.ownership_requests", &t.ownership_requests);
-  ok = ok && r.u64("t.invalidations_received", &t.invalidations_received);
-  ok = ok && r.u64("t.writebacks", &t.writebacks);
-  ok = ok && r.i64("t.wb_full_stall_cycles", &ll);
-  t.wb_full_stall_cycles = static_cast<Cycles>(ll);
-  ok = ok && r.u64("t.prefetches_issued", &t.prefetches_issued);
-  ok = ok && r.u64("t.prefetches_useful", &t.prefetches_useful);
-  ok = ok && r.u64("t.lock_acquires", &t.lock_acquires);
-  ok = ok && r.u64("t.barrier_waits", &t.barrier_waits);
-  ok = ok && r.i64("t.sync_cycles", &ll);
-  t.sync_cycles = static_cast<Cycles>(ll);
-  ok = ok && r.i64("t.compute_cycles", &ll);
-  t.compute_cycles = static_cast<Cycles>(ll);
-  ok = ok && r.i64("t.finish_time", &ll);
-  t.finish_time = static_cast<Cycles>(ll);
-  std::array<std::uint64_t, LatencyHistogram::kBuckets> counts{};
-  for (int b = 0; ok && b < LatencyHistogram::kBuckets; ++b) {
-    char key[32];
-    std::snprintf(key, sizeof(key), "t.hist.%d", b);
-    ok = r.u64(key, &counts[static_cast<std::size_t>(b)]);
-  }
-  std::uint64_t hist_total = 0;
-  std::uint64_t hist_sum = 0;
-  ok = ok && r.u64("t.hist.total", &hist_total);
-  ok = ok && r.u64("t.hist.sum", &hist_sum);
-  if (ok) t.read_latency_hist.restore(counts, hist_total, hist_sum);
-
-  ok = ok && r.f64("shared_cache_hit_rate", &s.shared_cache_hit_rate);
-  ok = ok && r.f64("avg_read_latency", &s.avg_read_latency);
-  ok = ok && r.f64("avg_l2_miss_latency", &s.avg_l2_miss_latency);
-  ok = ok && r.f64("read_latency_fraction", &s.read_latency_fraction);
-  ok = ok && r.f64("sync_fraction", &s.sync_fraction);
-  ok = ok && r.i64("read_latency_p50", &ll);
-  s.read_latency_p50 = static_cast<Cycles>(ll);
-  ok = ok && r.i64("read_latency_p90", &ll);
-  s.read_latency_p90 = static_cast<Cycles>(ll);
-  ok = ok && r.i64("read_latency_p99", &ll);
-  s.read_latency_p99 = static_cast<Cycles>(ll);
-  ok = ok && r.u64("events", &s.events);
-
-  ok = ok && r.boolean("verify_enabled", &s.verify_enabled);
-  ok = ok && r.u64("o.loads_checked", &s.oracle.loads_checked);
-  ok = ok && r.u64("o.stores_committed", &s.oracle.stores_committed);
-  ok = ok && r.u64("o.updates_delivered", &s.oracle.updates_delivered);
-  ok = ok &&
-       r.u64("o.invalidations_delivered", &s.oracle.invalidations_delivered);
-  ok = ok && r.u64("o.fills", &s.oracle.fills);
-  ok = ok && r.u64("o.ring_checks", &s.oracle.ring_checks);
-  ok = ok && r.u64("o.grants_checked", &s.oracle.grants_checked);
-  ok = ok && r.u64("o.drains_checked", &s.oracle.drains_checked);
-  ok = ok && r.u64("o.blocks_tracked", &s.oracle.blocks_tracked);
-  ok = ok && r.boolean("faults_enabled", &s.faults_enabled);
-  ok = ok && r.u64("f.injected", &s.faults.injected);
-  ok = ok && r.u64("f.recovered", &s.faults.recovered);
-  ok = ok && r.u64("f.retries", &s.faults.retries);
-  ok = ok && r.u64("f.unrecovered", &s.faults.unrecovered);
-
-  ok = ok && r.u64("wheel_pushes", &s.wheel_pushes);
-  ok = ok && r.u64("overflow_pushes", &s.overflow_pushes);
-  ok = ok && r.u64("wheel_regrows", &s.wheel_regrows);
-  ok = ok && r.f64("wall_seconds", &s.wall_seconds);
-  if (!ok) return false;
+  visit_fields(s, r);
+  if (!r.ok()) return false;
   *out = std::move(s);
   return true;
 }

@@ -14,10 +14,6 @@ DmonFabric::DmonFabric(core::Machine& machine, int broadcast_channels)
   }
 }
 
-sim::Task<void> DmonFabric::reserve(NodeId who) {
-  co_await control_.transmit(who);  // TDMA wait + 1-cycle reservation slot
-}
-
 sim::Task<void> DmonFabric::send_request(NodeId requester, NodeId home) {
   sim::Engine& eng = machine_->engine();
   co_await reserve(requester);

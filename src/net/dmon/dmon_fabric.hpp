@@ -22,7 +22,8 @@ class DmonFabric {
 
   /// Control-channel arbitration + reservation for a subsequent transfer:
   /// one TDMA slot (mean wait p/2) followed by the reservation mini-slot.
-  sim::Task<void> reserve(NodeId who);
+  /// Returns the TDMA awaiter itself, so a reservation costs no frame.
+  auto reserve(NodeId who) { return control_.transmit(who); }
 
   /// Request leg: reserve, retune, send a memory request to `home`'s channel.
   /// Matches Table 2 rows 3-7 (ends with the request at the home node).

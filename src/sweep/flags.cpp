@@ -78,15 +78,6 @@ FlagParse parse_sweep_flag(const char* arg, SweepFlags* flags,
     flags->isolation.cell_timeout_s = s;
     return FlagParse::kConsumed;
   }
-  if (flag_value(arg, "--cell-retries", &v)) {
-    long n = 0;
-    if (!strict_long(v, &n) || n < 0 || n > INT_MAX) {
-      return bad(error, "--cell-retries", v,
-                 "expected an integer in 0..2147483647");
-    }
-    flags->isolation.cell_retries = static_cast<int>(n);
-    return FlagParse::kConsumed;
-  }
   if (flag_value(arg, "--forensics", &v)) {
     if (*v == '\0') return bad(error, "--forensics", v, "empty directory");
     flags->isolation.forensics_dir = v;
@@ -123,17 +114,14 @@ const char* sweep_flags_help() {
       "  --cache=DIR        persistent sweep result cache: unchanged cells\n"
       "                     are served bit-identically from DIR instead of\n"
       "                     re-simulated (default: no cache)\n"
-      "  --isolate          run every cell in its own supervised child\n"
+      "  --isolate          run every cell once, in its own supervised child\n"
       "                     process: crashes and livelocks are contained,\n"
       "                     the rest of the grid completes, and a re-run\n"
       "                     with --cache re-executes only the failed cells\n"
-      "  --cell-timeout=S   wall-clock seconds per supervised cell attempt\n"
-      "                     before SIGKILL, doubled per retry (default 900;\n"
-      "                     0 = none; at most 1e6)\n"
-      "  --cell-retries=N   re-runs after a transient process failure,\n"
-      "                     exponential backoff (default 1)\n"
-      "  --forensics=DIR    write one file per failed supervised attempt\n"
-      "                     (exit status + captured stderr) under DIR\n";
+      "  --cell-timeout=S   wall-clock seconds per supervised cell before\n"
+      "                     SIGKILL (default 900; 0 = none; at most 1e6)\n"
+      "  --forensics=DIR    write one file per failed supervised cell\n"
+      "                     (diagnosis + captured stderr) under DIR\n";
 }
 
 }  // namespace netcache::sweep

@@ -21,9 +21,10 @@ struct SweepFlags {
   IsolationOptions isolation;
 };
 
-/// Largest --cell-timeout accepted, in seconds (about 11.6 days). A retry
-/// escalates the timeout up to 8x, and 8e6 s still fits the steady_clock's
-/// 64-bit nanosecond count; larger values overflow it into a past deadline.
+/// Largest --cell-timeout accepted, in seconds (about 11.6 days). The
+/// deadline is now + the timeout in steady_clock's 64-bit nanosecond count;
+/// 1e6 s fits it with a wide margin, while values near 1e10 s overflow it
+/// into a past deadline.
 inline constexpr double kMaxCellTimeoutS = 1e6;
 
 /// Outcome of offering one argv entry to the shared parser.
@@ -34,8 +35,7 @@ enum class FlagParse {
 };
 
 /// Tries to consume one argument as a shared sweep flag: --jobs=N,
-/// --cache=DIR, --isolate, --cell-timeout=S, --cell-retries=N,
-/// --forensics=DIR.
+/// --cache=DIR, --isolate, --cell-timeout=S, --forensics=DIR.
 FlagParse parse_sweep_flag(const char* arg, SweepFlags* flags,
                            std::string* error);
 

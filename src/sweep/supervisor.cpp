@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <deque>
 #include <filesystem>
 #include <string>
 
@@ -18,7 +17,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "src/common/nc_assert.hpp"
 #include "src/sweep/result_cache.hpp"
 
 namespace netcache::sweep {
@@ -116,13 +114,12 @@ bool write_all(int fd, const char* data, std::size_t n) {
 
 using Clock = std::chrono::steady_clock;
 
-/// One forked cell attempt, parent side. EOF on `fd` means the attempt
-/// finished (harvest with decode_cell_frame + waitpid).
-struct Attempt {
+/// One forked cell, parent side. EOF on `fd` means the child finished
+/// (harvest with decode_cell_frame + waitpid).
+struct Child {
   pid_t pid = -1;
   int fd = -1;  // result-pipe read end (nonblocking)
   std::size_t cell = 0;
-  int number = 1;  // 1-based attempt counter
   bool has_deadline = false;
   bool timed_out = false;
   Clock::time_point deadline;
@@ -132,14 +129,8 @@ struct Attempt {
   std::string stderr_path;
 };
 
-struct Retry {
-  std::size_t cell = 0;
-  int number = 1;
-  Clock::time_point ready;
-};
-
 /// Decodes one complete child result frame. False on a partial or garbled
-/// buffer: a process-level failure of the attempt.
+/// buffer: a process-level failure of the cell.
 bool decode_cell_frame(const std::string& buf, CellResult* out) {
   const std::string magic = std::string(kFrameMagic) + "\n";
   if (buf.compare(0, magic.size(), magic) != 0) return false;
@@ -195,75 +186,64 @@ std::string sanitize_label(const std::string& label) {
   return out;
 }
 
-/// Human-readable diagnosis of a process-level failure (signal, exit code,
-/// timeout, attempts) with the harvested stderr tail appended.
-std::string describe_process_failure(const FailureRecord& rec) {
-  char buf[160];
-  if (rec.timed_out) {
-    std::snprintf(buf, sizeof(buf),
-                  "cell timed out and was killed (attempt %d)", rec.attempts);
-  } else if (rec.signaled) {
-    std::snprintf(buf, sizeof(buf),
-                  "cell process died on signal %d (%s) (attempt %d)",
-                  rec.term_signal, strsignal(rec.term_signal), rec.attempts);
+/// One-line diagnosis of a process-level failure: the timeout, the signal,
+/// or the exit status (`status` as returned by waitpid).
+std::string describe_process_failure(int status, bool timed_out) {
+  char buf[128];
+  if (timed_out) {
+    std::snprintf(buf, sizeof(buf), "cell timed out and was killed");
+  } else if (WIFSIGNALED(status)) {
+    std::snprintf(buf, sizeof(buf), "cell process died on signal %d (%s)",
+                  WTERMSIG(status), strsignal(WTERMSIG(status)));
   } else {
-    std::snprintf(buf, sizeof(buf),
-                  "cell process exited with status %d (attempt %d)",
-                  rec.exit_code, rec.attempts);
+    std::snprintf(buf, sizeof(buf), "cell process exited with status %d",
+                  WIFEXITED(status) ? WEXITSTATUS(status) : -1);
   }
-  std::string out = buf;
-  if (!rec.stderr_tail.empty()) {
-    out += "; stderr tail:\n";
-    out += rec.stderr_tail;
-  }
-  return out;
+  return buf;
 }
 
-/// Writes one per-attempt forensics file: a status header plus the child's
+/// Writes the failed cell's forensics file: the diagnosis plus the child's
 /// full captured stderr.
 void write_forensics(const std::string& dir, const Cell& cell,
-                     std::size_t index, const FailureRecord& rec,
+                     std::size_t index, const std::string& diagnosis,
                      const std::string& stderr_path) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   char name[128];
-  std::snprintf(name, sizeof(name), "cell-%03zu-%s-attempt%d.log", index,
-                sanitize_label(cell.label()).c_str(), rec.attempts);
+  std::snprintf(name, sizeof(name), "cell-%03zu-%s.log", index,
+                sanitize_label(cell.label()).c_str());
   const std::string path = dir + "/" + name;
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) return;
-  std::fprintf(f, "cell %zu %s\nattempt %d\ntimed_out %d\nsignal %d\n"
-                  "exit_code %d\n--- stderr ---\n",
-               index, cell.label().c_str(), rec.attempts,
-               rec.timed_out ? 1 : 0, rec.signaled ? rec.term_signal : 0,
-               rec.signaled ? -1 : rec.exit_code);
+  std::fprintf(f, "cell %zu %s\n%s\n--- stderr ---\n", index,
+               cell.label().c_str(), diagnosis.c_str());
   const std::string full = read_stderr_tail(stderr_path, 1 << 20);
   std::fwrite(full.data(), 1, full.size(), f);
   std::fclose(f);
 }
 
-std::string stderr_capture_path(std::size_t cell, int attempt) {
+std::string stderr_capture_path(std::size_t cell) {
   const char* tmp = std::getenv("TMPDIR");
   char buf[256];
-  std::snprintf(buf, sizeof(buf), "%s/netcache-cell-%ld-%zu-%d.stderr",
+  std::snprintf(buf, sizeof(buf), "%s/netcache-cell-%ld-%zu.stderr",
                 tmp != nullptr && *tmp != '\0' ? tmp : "/tmp",
-                static_cast<long>(::getpid()), cell, attempt);
+                static_cast<long>(::getpid()), cell);
   return buf;
 }
 
 /// Forks a child running `cell` (via the run_cell entrypoint) and fills
-/// a->pid, a->fd and a->stderr_path; a->cell and a->number name the stderr
-/// capture file. The child closes the result pipes of the `active` attempts
-/// so it holds no other child's pipe open. Returns false (with *error set)
-/// when pipe() or fork() fails.
-bool spawn_cell_child(const Cell& cell, const std::vector<Attempt>& active,
-                      Attempt* a, std::string* error) {
+/// c->pid, c->fd and c->stderr_path; c->cell names the stderr capture file.
+/// The child closes the result pipes of the `active` children so it holds
+/// no other child's pipe open. Returns false (with *error set) when pipe()
+/// or fork() fails.
+bool spawn_cell_child(const Cell& cell, const std::vector<Child>& active,
+                      Child* c, std::string* error) {
   int fds[2];
   if (::pipe(fds) != 0) {
     *error = "supervisor: pipe() failed";
     return false;
   }
-  const std::string err_path = stderr_capture_path(a->cell, a->number);
+  const std::string err_path = stderr_capture_path(c->cell);
   pid_t pid = ::fork();
   if (pid < 0) {
     ::close(fds[0]);
@@ -279,7 +259,7 @@ bool spawn_cell_child(const Cell& cell, const std::vector<Attempt>& active,
     std::signal(SIGTERM, SIG_DFL);
     std::signal(SIGPIPE, SIG_DFL);
     ::close(fds[0]);
-    for (const Attempt& other : active) ::close(other.fd);
+    for (const Child& other : active) ::close(other.fd);
     int err_fd = ::open(err_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0600);
     if (err_fd >= 0) {
       ::dup2(err_fd, 2);
@@ -290,19 +270,13 @@ bool spawn_cell_child(const Cell& cell, const std::vector<Attempt>& active,
   // Parent.
   ::close(fds[1]);
   ::fcntl(fds[0], F_SETFL, O_NONBLOCK);
-  a->pid = pid;
-  a->fd = fds[0];
-  a->stderr_path = err_path;
+  c->pid = pid;
+  c->fd = fds[0];
+  c->stderr_path = err_path;
   return true;
 }
 
 }  // namespace
-
-double attempt_timeout_s(const IsolationOptions& opts, int attempt) {
-  if (opts.cell_timeout_s <= 0) return 0;
-  const int shift = std::clamp(attempt - 1, 0, 3);
-  return opts.cell_timeout_s * static_cast<double>(1 << shift);
-}
 
 std::vector<CellResult> run_supervised(const std::vector<Cell>& cells,
                                        int jobs,
@@ -313,184 +287,133 @@ std::vector<CellResult> run_supervised(const std::vector<Cell>& cells,
 
   // Cache pre-pass in the parent: children never open the cache, so a hit
   // costs no fork and a store happens exactly once, after harvest.
-  std::deque<Retry> ready;
+  std::vector<std::size_t> pending;
   for (std::size_t i = 0; i < cells.size(); ++i) {
     if (cache != nullptr && cache->lookup(cells[i], &results[i].summary)) {
       results[i].ok = true;
       results[i].from_cache = true;
     } else {
-      ready.push_back(Retry{i, 1, Clock::now()});
+      pending.push_back(i);
     }
   }
 
-  std::vector<Attempt> active;
-  std::vector<Retry> delayed;
+  std::vector<Child> active;
+  std::size_t next = 0;  // the first pending cell not yet dispatched
 
-  auto spawn_attempt = [&](std::size_t cell_index, int attempt_number) {
-    Attempt a;
-    a.cell = cell_index;
-    a.number = attempt_number;
+  auto spawn = [&](std::size_t cell_index) {
+    Child c;
+    c.cell = cell_index;
     std::string spawn_error;
-    if (!spawn_cell_child(cells[cell_index], active, &a, &spawn_error)) {
-      results[cell_index].ok = false;
+    if (!spawn_cell_child(cells[cell_index], active, &c, &spawn_error)) {
       results[cell_index].error = spawn_error;
       return;
     }
-    // Retries get an escalated wall-clock budget (x2 per attempt, capped):
-    // a slow-but-correct cell should not burn its whole retry budget on
-    // identical SIGKILLs.
-    const double timeout_s = attempt_timeout_s(opts, attempt_number);
-    if (timeout_s > 0) {
-      a.has_deadline = true;
-      a.deadline = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                      std::chrono::duration<double>(timeout_s));
+    if (opts.cell_timeout_s > 0) {
+      c.has_deadline = true;
+      c.deadline = Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                                      std::chrono::duration<double>(
+                                          opts.cell_timeout_s));
     }
-    active.push_back(std::move(a));
+    active.push_back(std::move(c));
   };
 
-  auto finalize = [&](Attempt& a) {
-    ::close(a.fd);
+  auto finalize = [&](Child& c) {
+    ::close(c.fd);
     int status = 0;
-    while (::waitpid(a.pid, &status, 0) < 0 && errno == EINTR) {
+    while (::waitpid(c.pid, &status, 0) < 0 && errno == EINTR) {
     }
     CellResult r;
-    const bool frame_ok = decode_cell_frame(a.buf, &r);
+    const bool frame_ok = decode_cell_frame(c.buf, &r);
     const bool clean_exit = WIFEXITED(status) && WEXITSTATUS(status) == 0;
-    if (frame_ok && clean_exit && !a.timed_out) {
-      // In-band outcome — success or a diagnosed (deterministic) failure.
-      r.failure.attempts = a.number;
-      results[a.cell] = r;
+    if (frame_ok && clean_exit && !c.timed_out) {
+      // In-band outcome — success or a diagnosed simulation failure.
+      results[c.cell] = r;
       if (r.ok && r.summary.verified && cache != nullptr) {
-        cache->store(cells[a.cell], r.summary);
+        cache->store(cells[c.cell], r.summary);
       }
-      std::remove(a.stderr_path.c_str());
-      return;
+    } else {
+      // Process-level failure: crash, timeout, or a missing/garbled frame.
+      const std::string diagnosis =
+          describe_process_failure(status, c.timed_out);
+      if (!opts.forensics_dir.empty()) {
+        write_forensics(opts.forensics_dir, cells[c.cell], c.cell, diagnosis,
+                        c.stderr_path);
+      }
+      std::string& error = results[c.cell].error;
+      error = diagnosis;
+      const std::string tail = read_stderr_tail(c.stderr_path, 8192);
+      if (!tail.empty()) error += "; stderr tail:\n" + tail;
     }
-    // Process-level failure: crash, timeout, or a garbled frame.
-    FailureRecord rec;
-    rec.attempts = a.number;
-    rec.timed_out = a.timed_out;
-    if (WIFSIGNALED(status)) {
-      rec.signaled = true;
-      rec.term_signal = WTERMSIG(status);
-    } else if (WIFEXITED(status)) {
-      rec.exit_code = WEXITSTATUS(status);
-    }
-    rec.stderr_tail = read_stderr_tail(a.stderr_path, 8192);
-    if (!opts.forensics_dir.empty()) {
-      write_forensics(opts.forensics_dir, cells[a.cell], a.cell, rec,
-                      a.stderr_path);
-    }
-    std::remove(a.stderr_path.c_str());
-    if (a.number <= opts.cell_retries) {
-      // Possibly transient: exponential backoff, then another child.
-      const double factor = static_cast<double>(1 << std::min(a.number - 1,
-                                                              20));
-      const auto wait = std::chrono::duration_cast<Clock::duration>(
-          std::chrono::duration<double>(opts.backoff_s * factor));
-      delayed.push_back(Retry{a.cell, a.number + 1, Clock::now() + wait});
-      return;
-    }
-    // Quarantined: deterministic (or budget-exhausted) process failure.
-    results[a.cell].ok = false;
-    results[a.cell].failure = rec;
-    results[a.cell].error = describe_process_failure(rec);
+    std::remove(c.stderr_path.c_str());
   };
 
   auto kill_and_reap_all = [&] {
-    for (Attempt& a : active) {
-      ::kill(a.pid, SIGKILL);
-      ::close(a.fd);
+    for (Child& c : active) {
+      ::kill(c.pid, SIGKILL);
+      ::close(c.fd);
       int status = 0;
-      while (::waitpid(a.pid, &status, 0) < 0 && errno == EINTR) {
+      while (::waitpid(c.pid, &status, 0) < 0 && errno == EINTR) {
       }
-      std::remove(a.stderr_path.c_str());
-      results[a.cell].ok = false;
-      results[a.cell].failure.attempts = a.number;
-      results[a.cell].error = "interrupted: stop requested while running";
+      std::remove(c.stderr_path.c_str());
+      results[c.cell].error = "interrupted: stop requested while running";
     }
     active.clear();
   };
 
-  while (!ready.empty() || !delayed.empty() || !active.empty()) {
+  while (next < pending.size() || !active.empty()) {
     if (stop_requested()) {
       kill_and_reap_all();
-      auto mark = [&](const Retry& p) {
-        results[p.cell].ok = false;
-        results[p.cell].error = "interrupted: stopped before dispatch";
-      };
-      for (const Retry& p : ready) mark(p);
-      for (const Retry& p : delayed) mark(p);
+      for (; next < pending.size(); ++next) {
+        results[pending[next]].error = "interrupted: stopped before dispatch";
+      }
       break;
     }
-    const Clock::time_point now = Clock::now();
-    // Promote due retries, then fill free child slots in submission order.
-    for (std::size_t i = 0; i < delayed.size();) {
-      if (delayed[i].ready <= now) {
-        ready.push_back(delayed[i]);
-        delayed.erase(delayed.begin() + static_cast<long>(i));
-      } else {
-        ++i;
-      }
+    // Fill free child slots in submission order.
+    while (next < pending.size() && static_cast<int>(active.size()) < jobs) {
+      spawn(pending[next++]);
     }
-    while (!ready.empty() && static_cast<int>(active.size()) < jobs) {
-      Retry next = ready.front();
-      ready.pop_front();
-      spawn_attempt(next.cell, next.number);
-    }
-    if (active.empty()) {
-      if (delayed.empty()) continue;  // spawn failures only — queue drained
-      // Nothing running; sleep until the earliest retry (capped so a stop
-      // request is noticed promptly).
-      Clock::time_point earliest = delayed[0].ready;
-      for (const Retry& p : delayed) earliest = std::min(earliest, p.ready);
-      auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                    earliest - Clock::now())
-                    .count();
-      ::poll(nullptr, 0, static_cast<int>(std::clamp<long long>(ms, 0, 200)));
-      continue;
-    }
-    // Wait for output/EOF from any child, a deadline, or a retry ready-time
-    // — capped at 200 ms so stop requests and deadlines are always noticed.
+    if (active.empty()) continue;  // spawn failures only
+    // Wait for output/EOF from any child or a deadline — capped at 200 ms so
+    // stop requests and deadlines are always noticed.
     std::vector<pollfd> fds(active.size());
     for (std::size_t i = 0; i < active.size(); ++i) {
       fds[i] = pollfd{active[i].fd, POLLIN, 0};
     }
     long long timeout_ms = 200;
-    for (const Attempt& a : active) {
-      if (!a.has_deadline) continue;
+    for (const Child& c : active) {
+      if (!c.has_deadline) continue;
       auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                    a.deadline - Clock::now())
+                    c.deadline - Clock::now())
                     .count();
       timeout_ms = std::min(timeout_ms, std::max<long long>(ms, 0));
     }
     ::poll(fds.data(), fds.size(), static_cast<int>(timeout_ms));
     // Drain readable pipes; EOF (all write ends closed — only the owning
-    // child ever held one) means the attempt is done: harvest it.
+    // child ever held one) means the cell is done: harvest it.
     for (std::size_t i = 0; i < active.size();) {
-      Attempt& a = active[i];
+      Child& c = active[i];
       bool done = false;
       if (fds[i].revents & (POLLIN | POLLHUP | POLLERR)) {
         char chunk[4096];
         for (;;) {
-          ssize_t n = ::read(a.fd, chunk, sizeof(chunk));
+          ssize_t n = ::read(c.fd, chunk, sizeof(chunk));
           if (n > 0) {
-            a.buf.append(chunk, static_cast<std::size_t>(n));
+            c.buf.append(chunk, static_cast<std::size_t>(n));
             continue;
           }
           if (n == 0) done = true;  // EOF
           break;  // EOF or EAGAIN/EINTR
         }
       }
-      if (!done && a.has_deadline && Clock::now() >= a.deadline) {
+      if (!done && c.has_deadline && Clock::now() >= c.deadline) {
         // Budget exhausted: SIGKILL; the pipe EOF arrives on the next poll
         // round and the harvest sees timed_out.
-        a.timed_out = true;
-        a.has_deadline = false;
-        ::kill(a.pid, SIGKILL);
+        c.timed_out = true;
+        c.has_deadline = false;
+        ::kill(c.pid, SIGKILL);
       }
       if (done) {
-        finalize(a);
+        finalize(c);
         active.erase(active.begin() + static_cast<long>(i));
         fds.erase(fds.begin() + static_cast<long>(i));
       } else {

@@ -3,10 +3,10 @@
 // The in-process driver is fast but fragile: one crashing cell (a simulator
 // bug, an unrecovered fault, a pathological big-machine config) aborts the
 // whole binary and loses the grid; one livelocked cell hangs it forever.
-// The supervisor runs each cell *attempt* in its own forked child process —
-// the run_cell entrypoint — so the blast radius of a crash is exactly one
-// cell, a wall-clock timeout can SIGKILL a livelock, and the grid always
-// completes with the poisoned cells marked failed.
+// The supervisor runs each uncached cell exactly once, in its own forked
+// child process — the run_cell entrypoint — so the blast radius of a crash
+// is exactly one cell, a wall-clock timeout can SIGKILL a livelock, and the
+// grid always completes with the poisoned cells marked failed.
 //
 // Isolation boundary (documented in DESIGN.md section 14): the child is
 // fork()ed, not exec()ed. Cells carry std::function closures (tweak,
@@ -18,20 +18,18 @@
 // frame to a pipe — the RunSummary in the result cache's %a hex-float
 // serialization, bit-identical to an in-process run — and _exit()s.
 //
-// Failure taxonomy:
+// Failure taxonomy (both classes are final; every cell is simulated by
+// deterministic code, so a second run would fail the same way):
 //  - in-band failure: the child caught a SimError (deadlock diagnosis,
-//    watchdog, bad config) and reported it over the pipe, exiting 0. That is
-//    a *deterministic* simulation outcome: recorded as failed, never
-//    retried.
+//    watchdog, bad config) and reported it over the pipe, exiting 0.
 //  - process-level failure: the child died on a signal, exited nonzero,
-//    produced a garbled/partial frame, or outlived the timeout. Possibly
-//    transient (OOM kill, machine pressure): retried with exponential
-//    backoff up to cell_retries, then quarantined with a FailureRecord
-//    holding exit status, signal, and the stderr tail (the FailureReporter
-//    forensics for crashes).
+//    produced a missing or garbled frame, or outlived the timeout. The
+//    cell's error names the signal, exit status or timeout and carries the
+//    tail of the child's stderr (the FailureReporter forensics for crashes).
 //
 // Successful verified results are stored in the result cache by the parent,
-// so re-running a partially failed grid re-executes only the failed cells.
+// so retrying a partially failed grid is re-running it with the same
+// --cache=DIR: only the failed cells execute again.
 #pragma once
 
 #include <vector>
@@ -61,22 +59,14 @@ void request_stop(int sig);
 /// Clears the flag (tests; a process that chooses to continue).
 void clear_stop();
 
-/// Runs `cells` under process isolation with at most `jobs` concurrent
-/// children and returns results in submission order. `cache` (may be null)
-/// is consulted before dispatch and populated by the parent after harvest —
-/// children never touch it. Called by SweepDriver::run(); callable directly
-/// by tests.
+/// Runs `cells` under process isolation, one child per uncached cell with at
+/// most `jobs` concurrent children dispatched in submission order, and
+/// returns results in submission order. `cache` (may be null) is consulted
+/// before dispatch and populated by the parent after harvest — children
+/// never touch it. Called by SweepDriver::run(); callable directly by tests.
 std::vector<CellResult> run_supervised(const std::vector<Cell>& cells,
                                        int jobs,
                                        const IsolationOptions& opts,
                                        ResultCache* cache);
-
-/// Wall-clock budget for attempt number `attempt` (1-based): the base
-/// cell_timeout_s doubled per retry and capped at 8x. A slow-but-correct
-/// cell that times out is therefore not SIGKILLed identically on every
-/// retry until its whole budget is burned — each retry gets more room,
-/// while a true livelock still dies within a bounded multiple of the base
-/// budget. Returns 0 (no timeout) when cell_timeout_s is 0.
-double attempt_timeout_s(const IsolationOptions& opts, int attempt);
 
 }  // namespace netcache::sweep

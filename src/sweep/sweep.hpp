@@ -54,27 +54,11 @@ struct Cell {
   std::string label() const;
 };
 
-/// Crash forensics for one supervised cell (see src/sweep/supervisor.*).
-/// Populated only by the process-isolated execution mode; an in-process run
-/// that fails leaves it default-constructed.
-struct FailureRecord {
-  /// Child processes launched for this cell (1 = no retries were needed).
-  int attempts = 0;
-  /// The last attempt outlived the per-cell wall-clock budget and was
-  /// SIGKILLed by the supervisor.
-  bool timed_out = false;
-  /// The last attempt died on a signal (term_signal) rather than exiting.
-  bool signaled = false;
-  int term_signal = 0;
-  int exit_code = 0;
-  /// Tail of the child's stderr: the FailureReporter forensics (NC_ASSERT
-  /// message, engine state, blocked-waiter table, trace tail) for crashes.
-  std::string stderr_tail;
-};
-
 /// Outcome of one cell. When the run throws (deadlock diagnosis, watchdog
 /// trip, bad configuration), `ok` is false, `error` holds the SimError text,
-/// and `summary` is default-constructed.
+/// and `summary` is default-constructed. Under --isolate, a child that dies
+/// instead leaves `error` naming the signal, exit status or timeout, followed
+/// by the tail of the child's stderr (the FailureReporter forensics).
 struct CellResult {
   core::RunSummary summary;
   bool ok = false;
@@ -82,28 +66,19 @@ struct CellResult {
   /// the run it memoizes) instead of being simulated in this process.
   bool from_cache = false;
   std::string error;
-  /// Supervised-mode forensics; attempts == 0 means the cell never ran under
-  /// a supervisor (in-process execution, or a cache hit).
-  FailureRecord failure;
 };
 
 /// Knobs for the opt-in process-isolated execution mode (--isolate): each
-/// cell attempt runs in a forked child, so a crashing or livelocked cell is
-/// contained and the grid completes. Default-constructed = in-process.
+/// uncached cell runs once, in a forked child, so a crashing or livelocked
+/// cell is contained and the grid completes. Default-constructed =
+/// in-process.
 struct IsolationOptions {
   bool enabled = false;
-  /// Wall-clock budget per attempt in seconds; expiry SIGKILLs the child and
-  /// counts as a transient (retryable) failure. 0 disables the timeout.
+  /// Wall-clock budget per cell in seconds; expiry SIGKILLs the child and
+  /// fails the cell. 0 disables the timeout.
   double cell_timeout_s = 900.0;
-  /// Re-runs of a cell after a process-level failure (crash signal, nonzero
-  /// exit, garbled result frame, timeout). In-band diagnosed failures (the
-  /// child caught a SimError and reported it over the pipe) are
-  /// deterministic and never retried.
-  int cell_retries = 1;
-  /// Delay before the first retry; doubles on each subsequent one.
-  double backoff_s = 0.25;
-  /// When non-empty, one forensics file per failed attempt is written here
-  /// (exit status + full captured stderr).
+  /// When non-empty, one forensics file per failed cell is written here
+  /// (the diagnosis + full captured stderr).
   std::string forensics_dir;
 };
 

@@ -3,6 +3,7 @@
 // every system kind and several machine widths.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <tuple>
 
@@ -94,6 +95,26 @@ TEST(AppsFactory, UnknownNameIsAConfigError) {
     EXPECT_EQ(e.key(), "app");
     EXPECT_EQ(e.value(), "nosuch");
   }
+}
+
+TEST(AppsFactory, ScaleOutsideItsRangeIsAConfigError) {
+  // Each app converts a scaled size to int: nan, a non-positive scale or one
+  // past kMaxScale would be undefined behaviour there, so none gets built.
+  for (double scale : {std::nan(""), -1.0, 0.0, 1e30}) {
+    apps::WorkloadParams params;
+    params.scale = scale;
+    for (const std::string& name : apps::workload_names()) {
+      try {
+        (void)apps::make_workload(name, params);
+        ADD_FAILURE() << name << " accepted scale " << scale;
+      } catch (const ConfigError& e) {
+        EXPECT_EQ(e.key(), "scale") << name;
+      }
+    }
+  }
+  apps::WorkloadParams largest;
+  largest.scale = apps::kMaxScale;
+  EXPECT_NE(apps::make_workload("radix", largest), nullptr);
 }
 
 TEST(AppsFactory, ScaleChangesProblemSize) {

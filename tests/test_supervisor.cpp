@@ -1,9 +1,9 @@
 // Supervised process-isolated sweep execution: a crashing cell must fail
 // alone (with harvested forensics) while the rest of the grid completes, a
-// livelocked cell must die on the wall-clock timeout, a transiently failing
-// cell must be recovered by retry/backoff, a partially failed grid must
-// resume from the result cache re-executing only the failures, and a clean
-// isolated grid must reproduce the threaded run bit for bit.
+// livelocked cell must die on the wall-clock timeout, every cell must run in
+// exactly one child, a partially failed grid must resume from the result
+// cache re-executing only the failures, and a clean isolated grid must
+// reproduce the threaded run bit for bit.
 #include "src/sweep/supervisor.hpp"
 
 #include <gtest/gtest.h>
@@ -34,7 +34,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Per-test scratch directory (forensics, cache, retry markers), removed on
+/// Per-test scratch directory (forensics, cache, markers), removed on
 /// teardown. Also clears any stop flag a previous test may have left set.
 class SupervisorTest : public ::testing::Test {
  protected:
@@ -78,12 +78,10 @@ sweep::Cell faulted_cell(const char* spec) {
   return cell;
 }
 
-sweep::IsolationOptions isolation(double timeout_s = 60.0, int retries = 0) {
+sweep::IsolationOptions isolation(double timeout_s = 60.0) {
   sweep::IsolationOptions opts;
   opts.enabled = true;
   opts.cell_timeout_s = timeout_s;
-  opts.cell_retries = retries;
-  opts.backoff_s = 0.01;
   return opts;
 }
 
@@ -107,15 +105,12 @@ TEST_F(SupervisorTest, CrashCellFailsAloneWhileTheGridCompletes) {
       sweep::run_supervised(cells, 2, opts, nullptr);
   ASSERT_EQ(results.size(), 3u);
 
-  // The poisoned cell is quarantined with its crash forensics harvested.
+  // The poisoned cell fails with its crash forensics harvested: the error
+  // names the signal and carries the FailureReporter output.
   EXPECT_FALSE(results[0].ok);
-  EXPECT_EQ(results[0].failure.attempts, 1);
-  EXPECT_TRUE(results[0].failure.signaled);
-  EXPECT_EQ(results[0].failure.term_signal, SIGABRT);
-  EXPECT_NE(results[0].failure.stderr_tail.find("fault-crash"),
-            std::string::npos)
-      << results[0].failure.stderr_tail;
-  EXPECT_NE(results[0].error.find("signal"), std::string::npos)
+  EXPECT_NE(results[0].error.find("signal 6"), std::string::npos)
+      << results[0].error;
+  EXPECT_NE(results[0].error.find("fault-crash"), std::string::npos)
       << results[0].error;
 
   // The healthy cells complete and match an in-process run bit for bit.
@@ -128,14 +123,14 @@ TEST_F(SupervisorTest, CrashCellFailsAloneWhileTheGridCompletes) {
               summary_bytes_sans_wall(direct.summary));
   }
 
-  // One forensics file for the one failed attempt, carrying the
+  // One forensics file for the one failed cell, carrying the
   // FailureReporter output.
   std::vector<fs::path> files;
   for (const auto& entry : fs::directory_iterator(opts.forensics_dir)) {
     files.push_back(entry.path());
   }
   ASSERT_EQ(files.size(), 1u);
-  EXPECT_NE(files[0].filename().string().find("attempt1"), std::string::npos);
+  EXPECT_EQ(files[0].filename().string(), "cell-000-sor-NetCache.log");
   std::FILE* f = std::fopen(files[0].string().c_str(), "rb");
   ASSERT_NE(f, nullptr);
   std::string body(1 << 16, '\0');
@@ -160,57 +155,50 @@ TEST_F(SupervisorTest, TimeoutKillsALivelockedCell) {
       sweep::run_supervised(cells, 2, isolation(/*timeout_s=*/2.0), nullptr);
 
   EXPECT_FALSE(results[0].ok);
-  EXPECT_TRUE(results[0].failure.timed_out);
-  EXPECT_EQ(results[0].failure.attempts, 1);
   EXPECT_NE(results[0].error.find("timed out"), std::string::npos)
       << results[0].error;
 
   // In-band diagnosis, not a process failure: the companion was untouched
   // by the supervisor's kill.
   EXPECT_FALSE(results[1].ok);
-  EXPECT_FALSE(results[1].failure.timed_out);
-  EXPECT_FALSE(results[1].failure.signaled);
+  EXPECT_EQ(results[1].error.find("timed out"), std::string::npos)
+      << results[1].error;
+  EXPECT_EQ(results[1].error.find("signal"), std::string::npos)
+      << results[1].error;
   EXPECT_NE(results[1].error.find("max_cycles"), std::string::npos)
       << results[1].error;
 }
 
-TEST_F(SupervisorTest, RetryWithBackoffRecoversATransientFailure) {
-  // Fail-once shim: the first child to build this workload leaves a marker
-  // and aborts; the retry child sees the marker and runs the real workload.
-  // make_workload runs in the child (the parent only hashes configs), so the
-  // marker file is how attempts communicate across the fork boundary.
-  const std::string marker = (dir_ / "first-attempt-died").string();
-  sweep::Cell flaky = fast_cell();
-  flaky.make_workload = [marker]() -> std::unique_ptr<apps::Workload> {
-    if (!fs::exists(marker)) {
-      std::FILE* f = std::fopen(marker.c_str(), "wb");
-      if (f != nullptr) std::fclose(f);
-      std::abort();
+TEST_F(SupervisorTest, ACrashingCellRunsInExactlyOneChild) {
+  // Every child that builds this workload appends a line to the marker and
+  // aborts. make_workload runs in the child (the parent only hashes
+  // configs), so the marker counts the children forked for the cell across
+  // the fork boundary. Default options: the crash is final.
+  const std::string marker = (dir_ / "children").string();
+  sweep::Cell crashing = fast_cell();
+  crashing.make_workload = [marker]() -> std::unique_ptr<apps::Workload> {
+    std::FILE* f = std::fopen(marker.c_str(), "ab");
+    if (f != nullptr) {
+      std::fputs("child\n", f);
+      std::fclose(f);
     }
-    apps::WorkloadParams params;
-    params.scale = 0.15;
-    return apps::make_workload("sor", params);
+    std::abort();
   };
+  sweep::IsolationOptions opts;
+  opts.enabled = true;
 
-  std::vector<sweep::CellResult> results = sweep::run_supervised(
-      {flaky}, 1, isolation(/*timeout_s=*/60.0, /*retries=*/1), nullptr);
-
-  ASSERT_TRUE(results[0].ok) << results[0].error;
-  EXPECT_TRUE(results[0].summary.verified);
-  EXPECT_EQ(results[0].failure.attempts, 2);
-  EXPECT_TRUE(fs::exists(marker));
-}
-
-TEST_F(SupervisorTest, ExhaustedRetriesQuarantineTheCell) {
-  // Crashes every attempt: retries are spent, then the cell is quarantined
-  // with the attempt count in the record.
-  std::vector<sweep::CellResult> results = sweep::run_supervised(
-      {faulted_cell("crash:1")}, 1, isolation(/*timeout_s=*/60.0, /*retries=*/2),
-      nullptr);
+  std::vector<sweep::CellResult> results =
+      sweep::run_supervised({crashing}, 1, opts, nullptr);
 
   EXPECT_FALSE(results[0].ok);
-  EXPECT_EQ(results[0].failure.attempts, 3);
-  EXPECT_TRUE(results[0].failure.signaled);
+  EXPECT_NE(results[0].error.find("signal 6"), std::string::npos)
+      << results[0].error;
+  std::FILE* f = std::fopen(marker.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  std::string lines(256, '\0');
+  lines.resize(std::fread(lines.data(), 1, lines.size(), f));
+  std::fclose(f);
+  EXPECT_EQ(lines, "child\n");
 }
 
 TEST_F(SupervisorTest, CleanExitWithoutAFrameIsAProcessFailure) {
@@ -220,14 +208,10 @@ TEST_F(SupervisorTest, CleanExitWithoutAFrameIsAProcessFailure) {
   sweep::Cell silent = fast_cell();
   silent.make_workload = []() -> std::unique_ptr<apps::Workload> { _exit(0); };
   std::vector<sweep::CellResult> results = sweep::run_supervised(
-      {silent, fast_cell("sor", SystemKind::kLambdaNet)}, 2,
-      isolation(/*timeout_s=*/60.0, /*retries=*/1), nullptr);
+      {silent, fast_cell("sor", SystemKind::kLambdaNet)}, 2, isolation(),
+      nullptr);
 
   EXPECT_FALSE(results[0].ok);
-  EXPECT_EQ(results[0].failure.attempts, 2);  // retried, then quarantined
-  EXPECT_FALSE(results[0].failure.signaled);
-  EXPECT_FALSE(results[0].failure.timed_out);
-  EXPECT_EQ(results[0].failure.exit_code, 0);
   EXPECT_NE(results[0].error.find("exited with status 0"), std::string::npos)
       << results[0].error;
 
@@ -235,19 +219,20 @@ TEST_F(SupervisorTest, CleanExitWithoutAFrameIsAProcessFailure) {
   EXPECT_TRUE(results[1].summary.verified);
 }
 
-TEST_F(SupervisorTest, InBandFailuresAreDeterministicAndNeverRetried) {
+TEST_F(SupervisorTest, InBandFailuresCarryTheChildsDiagnosis) {
   // A watchdog trip is caught by the child and reported over the pipe — a
-  // diagnosed simulation outcome, not a process failure. Even with retries
-  // budgeted, one attempt settles it.
+  // diagnosed simulation outcome, not a process failure: the error is the
+  // child's SimError text, with no signal or exit status in it.
   sweep::Cell cell = fast_cell();
   cell.limits.max_cycles = 100;  // far below the ~100k-cycle run
-  std::vector<sweep::CellResult> results = sweep::run_supervised(
-      {cell}, 1, isolation(/*timeout_s=*/60.0, /*retries=*/3), nullptr);
+  std::vector<sweep::CellResult> results =
+      sweep::run_supervised({cell}, 1, isolation(), nullptr);
 
   EXPECT_FALSE(results[0].ok);
-  EXPECT_EQ(results[0].failure.attempts, 1);
-  EXPECT_FALSE(results[0].failure.signaled);
-  EXPECT_FALSE(results[0].error.empty());
+  EXPECT_NE(results[0].error.find("max_cycles"), std::string::npos)
+      << results[0].error;
+  EXPECT_EQ(results[0].error.find("signal"), std::string::npos)
+      << results[0].error;
 }
 
 TEST_F(SupervisorTest, ResumeReExecutesOnlyTheFailedCells) {
@@ -282,7 +267,8 @@ TEST_F(SupervisorTest, ResumeReExecutesOnlyTheFailedCells) {
   EXPECT_FALSE(second.result(1).ok);
   EXPECT_FALSE(second.result(1).from_cache);
   EXPECT_TRUE(second.result(2).from_cache);
-  EXPECT_EQ(second.result(1).failure.attempts, 1);
+  EXPECT_NE(second.result(1).error.find("fault-crash"), std::string::npos)
+      << second.result(1).error;
   EXPECT_EQ(core::serialize_summary(first.result(0).summary),
             core::serialize_summary(second.result(0).summary));
 }
@@ -359,43 +345,6 @@ TEST_F(SupervisorTest, StopFlagMarksThreadedCellsInterrupted) {
   sweep::clear_stop();
 }
 
-TEST(AttemptTimeout, EscalatesTwoXPerRetryCappedAtEightX) {
-  sweep::IsolationOptions opts;
-  opts.enabled = true;
-  opts.cell_timeout_s = 10.0;
-  // A cell that timed out once may simply be near the budget, not hung:
-  // each retry doubles the allowance so a slow-but-honest cell can finish,
-  // capped at 8x so a true livelock still dies promptly.
-  EXPECT_DOUBLE_EQ(sweep::attempt_timeout_s(opts, 1), 10.0);
-  EXPECT_DOUBLE_EQ(sweep::attempt_timeout_s(opts, 2), 20.0);
-  EXPECT_DOUBLE_EQ(sweep::attempt_timeout_s(opts, 3), 40.0);
-  EXPECT_DOUBLE_EQ(sweep::attempt_timeout_s(opts, 4), 80.0);
-  EXPECT_DOUBLE_EQ(sweep::attempt_timeout_s(opts, 5), 80.0);
-  EXPECT_DOUBLE_EQ(sweep::attempt_timeout_s(opts, 100), 80.0);
-
-  opts.cell_timeout_s = 0;  // no timeout configured -> none at any attempt
-  EXPECT_DOUBLE_EQ(sweep::attempt_timeout_s(opts, 1), 0.0);
-  EXPECT_DOUBLE_EQ(sweep::attempt_timeout_s(opts, 4), 0.0);
-}
-
-TEST_F(SupervisorTest, EscalatedRetryTimeoutRescuesASlowButHonestCell) {
-  // First attempt gets a timeout the cell cannot meet; the retry's doubled
-  // budget is enough. A fixed (non-escalating) timeout would fail both.
-  sweep::Cell cell = fast_cell();
-  std::vector<sweep::CellResult> results = sweep::run_supervised(
-      {cell}, 1, isolation(/*timeout_s=*/0.005, /*retries=*/10), nullptr);
-  if (results[0].ok) {
-    // Escalation found a workable budget within the retry allowance.
-    EXPECT_GT(results[0].failure.attempts, 1);
-    EXPECT_TRUE(results[0].summary.verified);
-  } else {
-    // Even 8x5ms was too tight for this host; the diagnosis must still be a
-    // timeout quarantine with every attempt spent.
-    EXPECT_TRUE(results[0].failure.timed_out);
-    EXPECT_EQ(results[0].failure.attempts, 11);
-  }
-}
-
 TEST_F(SupervisorTest, SigtermMidGridLeavesNoOrphansNoTempFilesAndResumes) {
   // Signal-driven shutdown, end to end: a SIGTERM (delivered here as the
   // stop flag the handler would set) lands while the grid's hang cell holds
@@ -453,7 +402,7 @@ TEST_F(SupervisorTest, SigtermMidGridLeavesNoOrphansNoTempFilesAndResumes) {
   }
 
   // Resume: the completed cell is a hit (no child forked for it); the hang
-  // cell now runs against a short timeout and is quarantined; the
+  // cell now runs against a short timeout and fails; the
   // never-started cell executes. The budget is a few healthy cells' worth,
   // so the healthy cell fits under an instrumented build too.
   sweep::clear_stop();
@@ -463,7 +412,8 @@ TEST_F(SupervisorTest, SigtermMidGridLeavesNoOrphansNoTempFilesAndResumes) {
   EXPECT_TRUE(resumed[0].ok) << resumed[0].error;
   EXPECT_TRUE(resumed[0].from_cache);
   EXPECT_FALSE(resumed[1].ok);
-  EXPECT_TRUE(resumed[1].failure.timed_out);
+  EXPECT_NE(resumed[1].error.find("timed out"), std::string::npos)
+      << resumed[1].error;
   EXPECT_TRUE(resumed[2].ok) << resumed[2].error;
   EXPECT_FALSE(resumed[2].from_cache);
   EXPECT_EQ(core::serialize_summary(resumed[0].summary),

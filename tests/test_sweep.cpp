@@ -175,10 +175,6 @@ TEST(SweepFlags, ParserConsumesRejectsAndPassesThrough) {
   EXPECT_EQ(sweep::parse_sweep_flag("--jobs=4294967297", &flags, &error),
             sweep::FlagParse::kBadValue);
   EXPECT_EQ(flags.jobs, 3);
-  EXPECT_EQ(sweep::parse_sweep_flag("--cell-retries=4294967296", &flags,
-                                    &error),
-            sweep::FlagParse::kBadValue);
-  EXPECT_NE(error.find("--cell-retries"), std::string::npos) << error;
 
   error.clear();
   EXPECT_EQ(sweep::parse_sweep_flag("--cell-timeout=-1", &flags, &error),
@@ -208,6 +204,10 @@ TEST(SweepFlags, ParserConsumesRejectsAndPassesThrough) {
   // Caching is off unless --cache is given, so there is no flag to turn it
   // off (split literal, as above).
   EXPECT_EQ(sweep::parse_sweep_flag("--no" "-cache", &flags, &error),
+            sweep::FlagParse::kNotSweepFlag);
+  // Each supervised cell runs once; a retry is a re-run with --cache, so
+  // there is no retry-count flag (split literal, as above).
+  EXPECT_EQ(sweep::parse_sweep_flag("--cell" "-retries=1", &flags, &error),
             sweep::FlagParse::kNotSweepFlag);
 
   // Every sweep knob is a flag: the usage text names no environment

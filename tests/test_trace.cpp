@@ -104,6 +104,34 @@ TEST(Trace, MalformedLinesAreConfigErrorsNamingTheLine) {
   }
 }
 
+TEST(Trace, ValuesOnlyTheMachineCanJudgeAreConfigErrorsNamingTheRecord) {
+  // The parser accepts these records; Machine::run rejects them in setup,
+  // before any replay: addresses past the 2^47-byte shared heap, and writes
+  // that do not lie within one 64-byte L2 block.
+  for (const char* record :
+       {"0 r 140737488355328", "0 r 18446744073709551615", "0 w 0 100000",
+        "0 w 60 8"}) {
+    MachineConfig cfg;
+    cfg.nodes = 4;
+    core::Machine m(cfg);
+    auto w = TraceWorkload::from_string(std::string("0 r 0\n") + record +
+                                        "\n");
+    try {
+      (void)m.run(*w);
+      ADD_FAILURE() << "replayed \"" << record << "\"";
+    } catch (const ConfigError& e) {
+      EXPECT_EQ(e.key(), "trace") << record;
+      EXPECT_EQ(e.value(), record);
+    }
+  }
+  // A write filling a whole block, or ending at its last byte, replays.
+  MachineConfig cfg;
+  cfg.nodes = 4;
+  core::Machine m(cfg);
+  auto w = TraceWorkload::from_string("0 w 0 64\n0 w 124 4\n");
+  EXPECT_TRUE(m.run(*w).verified);
+}
+
 TEST(Trace, UnopenablePathIsAConfigError) {
   try {
     (void)TraceWorkload::from_file("/nonexistent/trace.txt");
