@@ -44,13 +44,11 @@ Table::Table(std::string title, std::vector<std::string> columns)
 
 void Table::set(const std::string& row, const std::string& column,
                 double value) {
-  std::lock_guard<std::mutex> lock(mutex_);
   if (cells_.find(row) == cells_.end()) row_order_.push_back(row);
   cells_[row][column] = value;
 }
 
 void Table::print() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   std::printf("\n== %s ==\n", title_.c_str());
   std::printf("%-12s", "");
   for (const auto& c : columns_) std::printf(" %12s", c.c_str());
@@ -71,7 +69,6 @@ void Table::print() const {
 }
 
 std::string Table::to_csv() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   std::string out = "row";
   for (const auto& c : columns_) out += "," + c;
   out += "\n";
@@ -95,14 +92,11 @@ std::string Table::to_csv() const {
 
 void Table::write_csv_to(const std::string& dir) const {
   std::string name;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (char c : title_) {
-      if (std::isalnum(static_cast<unsigned char>(c))) {
-        name += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-      } else if (!name.empty() && name.back() != '_') {
-        name += '_';
-      }
+  for (char c : title_) {
+    if (std::isalnum(static_cast<unsigned char>(c))) {
+      name += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    } else if (!name.empty() && name.back() != '_') {
+      name += '_';
     }
   }
   std::string path = dir + "/" + name + ".csv";

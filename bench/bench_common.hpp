@@ -5,7 +5,6 @@
 #pragma once
 
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -26,8 +25,8 @@ core::RunSummary simulate(const sweep::Cell& cell);
 std::vector<std::size_t> submit_distinct(const std::vector<sweep::Cell>& cells,
                                          sweep::SweepDriver& driver);
 
-/// Ordered results table. set() is thread-safe: concurrent sweep workers may
-/// fold results into one shared table directly.
+/// Ordered results table. Not thread-safe: fold into it on one thread after
+/// the sweep, as reproduce does.
 class Table {
  public:
   Table(std::string title, std::vector<std::string> columns);
@@ -47,7 +46,6 @@ class Table {
   std::vector<std::string> columns_;
   std::vector<std::string> row_order_;
   std::map<std::string, std::map<std::string, double>> cells_;
-  mutable std::mutex mutex_;
 };
 
 // Microbenchmark probes for the latency tables (contention-free means over

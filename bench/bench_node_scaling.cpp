@@ -1,21 +1,17 @@
-// Node-count scaling of the coherence hot path (DESIGN.md section 16): the
-// Table 4 grid's update/invalidate delivery used to probe every node's L2 on
-// every shared-write commit, so host cost per simulated write grew linearly
-// with machine size. The sharer map makes delivery O(sharers); this bench
-// sweeps 16/64/256 nodes across every system and records, per point,
-// host events/sec with tracking on and off, the probes avoided, and whether
-// the two runs' serialized summaries stayed byte-identical (the contract the
-// map must never break).
+// Node-count scaling of the coherence hot path (DESIGN.md section 16): snoop
+// delivery visits only the sharers the sharer map records, so host cost per
+// simulated event should stay near-flat as the machine widens. This bench
+// sweeps 16/64/256 nodes across every system and records, per point, the
+// median and interquartile range of the host time over kRepeats runs, host
+// events/sec at the median, and the probes the map avoided.
 //
 // Emits BENCH_nodes.json (override with NETCACHE_BENCH_NODES_JSON).
 // --scale (default 1.0) scales the workload for CI-class hosts.
 //
 //   ./bench_node_scaling [--scale=X] [--nodes=16,64,256] [--app=gauss]
-//                        [--summaries-dir=DIR]
 //
-// --summaries-dir writes each point's canonical serialized summary to
-// <dir>/<system>_<nodes>_{tracked,untracked}.csv so CI can byte-diff the
-// pairs independently of this binary's own identity check.
+// Exits nonzero when a run fails or a point avoided no probes.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -32,6 +28,9 @@ using namespace netcache;
 
 namespace {
 
+/// Timed runs per point; the simulated results of every repeat are equal.
+constexpr int kRepeats = 5;
+
 constexpr SystemKind kSystems[] = {
     SystemKind::kNetCache, SystemKind::kNetCacheNoRing, SystemKind::kLambdaNet,
     SystemKind::kDmonUpdate, SystemKind::kDmonInvalidate};
@@ -39,32 +38,32 @@ constexpr SystemKind kSystems[] = {
 struct NodePoint {
   SystemKind system = SystemKind::kNetCache;
   int nodes = 0;
-  double tracked_seconds = 0.0;
-  double untracked_seconds = 0.0;
+  double seconds = 0.0;      // median of kRepeats runs
+  double seconds_iqr = 0.0;  // their interquartile range
   std::uint64_t events = 0;
-  SnoopStats snoop;  // from the tracked run
-  bool identical = true;
+  SnoopStats snoop;
 };
 
-/// Full-fidelity identity: the entire serialized summary, wall-clock zeroed
-/// (host observability, not a simulated result).
-std::string canonical_summary(core::RunSummary s) {
-  s.wall_seconds = 0.0;
-  return core::serialize_summary(s);
+/// q-quantile of `sorted`, interpolated between the two nearest ranks.
+double quantile(const std::vector<double>& sorted, double q) {
+  const double at = q * static_cast<double>(sorted.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(at);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const double frac = at - static_cast<double>(lo);
+  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
 }
 
 double run_point(const std::string& app, SystemKind system, int nodes,
-                 double scale, bool tracking, core::RunSummary* out) {
+                 double scale, core::RunSummary* out) {
   sweep::Cell cell;
   cell.app = app;
   cell.system = system;
   cell.nodes = nodes;
   cell.scale = scale;
-  cell.tweak = [tracking](MachineConfig& cfg) {
+  cell.tweak = [](MachineConfig& cfg) {
     // The default 128 cache channels must divide evenly among home nodes;
     // machines past that get one channel per node (same per-node share).
     if (cfg.nodes > 128) cfg.ring.channels = cfg.nodes;
-    cfg.sharer_tracking = tracking;
   };
   auto t0 = std::chrono::steady_clock::now();
   sweep::CellResult r = sweep::run_cell(cell, /*cache=*/nullptr);
@@ -80,24 +79,12 @@ double run_point(const std::string& app, SystemKind system, int nodes,
   return secs;
 }
 
-bool write_blob(const std::string& path, const std::string& blob) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fwrite(blob.data(), 1, blob.size(), f);
-  std::fclose(f);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   double scale = 1.0;
   std::vector<int> node_counts = {16, 64, 256};
   std::string app = "gauss";
-  std::string summaries_dir;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--scale=", 8) == 0) {
       scale = std::atof(argv[i] + 8);
@@ -111,12 +98,9 @@ int main(int argc, char** argv) {
       }
     } else if (std::strncmp(argv[i], "--app=", 6) == 0) {
       app = argv[i] + 6;
-    } else if (std::strncmp(argv[i], "--summaries-dir=", 16) == 0) {
-      summaries_dir = argv[i] + 16;
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--scale=X] [--nodes=16,64,256] [--app=A] "
-                   "[--summaries-dir=DIR]\n",
+                   "usage: %s [--scale=X] [--nodes=16,64,256] [--app=A]\n",
                    argv[0]);
       return 1;
     }
@@ -130,54 +114,41 @@ int main(int argc, char** argv) {
   const unsigned hw = std::thread::hardware_concurrency();
   std::printf(
       "node scaling: %s at scale %.2f, %zu node count(s) x %zu systems, "
-      "host has %u thread(s)\n",
-      app.c_str(), scale, node_counts.size(), std::size(kSystems), hw);
+      "%d runs per point, host has %u thread(s)\n",
+      app.c_str(), scale, node_counts.size(), std::size(kSystems), kRepeats,
+      hw);
 
   std::vector<NodePoint> points;
-  bool all_identical = true;
   bool all_avoiding = true;
   for (SystemKind system : kSystems) {
     for (int nodes : node_counts) {
       NodePoint p;
       p.system = system;
       p.nodes = nodes;
-      core::RunSummary tracked;
-      core::RunSummary untracked;
-      p.tracked_seconds =
-          run_point(app, system, nodes, scale, true, &tracked);
-      p.untracked_seconds =
-          run_point(app, system, nodes, scale, false, &untracked);
-      p.events = tracked.events;
-      p.snoop = tracked.snoop;
-      p.identical = canonical_summary(tracked) == canonical_summary(untracked);
-      all_identical &= p.identical;
+      core::RunSummary summary;
+      std::vector<double> seconds;
+      for (int rep = 0; rep < kRepeats; ++rep) {
+        seconds.push_back(run_point(app, system, nodes, scale, &summary));
+      }
+      std::sort(seconds.begin(), seconds.end());
+      p.seconds = quantile(seconds, 0.5);
+      p.seconds_iqr = quantile(seconds, 0.75) - quantile(seconds, 0.25);
+      p.events = summary.events;
+      p.snoop = summary.snoop;
       all_avoiding &= p.snoop.probes_avoided > 0;
       points.push_back(p);
       const std::uint64_t total = p.snoop.probes + p.snoop.probes_avoided;
       std::printf(
-          "  %-12s n=%-4d %8.2f s tracked (%8.0f ev/s), %8.2f s full-scan  "
-          "avoided %llu/%llu probes (%.1f%%)  %s\n",
-          to_string(system), nodes, p.tracked_seconds,
-          p.tracked_seconds > 0
-              ? static_cast<double>(p.events) / p.tracked_seconds
-              : 0.0,
-          p.untracked_seconds,
+          "  %-15s n=%-4d %7.3f s (IQR %.3f, %9.0f ev/s)  avoided %llu/%llu "
+          "probes (%.1f%%)\n",
+          to_string(system), nodes, p.seconds, p.seconds_iqr,
+          p.seconds > 0 ? static_cast<double>(p.events) / p.seconds : 0.0,
           static_cast<unsigned long long>(p.snoop.probes_avoided),
           static_cast<unsigned long long>(total),
           total > 0
               ? 100.0 * static_cast<double>(p.snoop.probes_avoided) /
                     static_cast<double>(total)
-              : 0.0,
-          p.identical ? "byte-identical" : "RESULTS DIVERGED");
-      if (!summaries_dir.empty()) {
-        const std::string stem = summaries_dir + "/" + to_string(system) +
-                                 "_" + std::to_string(nodes);
-        if (!write_blob(stem + "_tracked.csv", canonical_summary(tracked)) ||
-            !write_blob(stem + "_untracked.csv",
-                        canonical_summary(untracked))) {
-          return 1;
-        }
-      }
+              : 0.0);
     }
   }
 
@@ -193,15 +164,14 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"app\": \"%s\",\n", app.c_str());
   std::fprintf(f, "  \"scale\": %.3f,\n", scale);
   std::fprintf(f, "  \"host_hardware_threads\": %u,\n", hw);
+  std::fprintf(f, "  \"repeats\": %d,\n", kRepeats);
   std::fprintf(f,
-               "  \"notes\": \"host events/sec, not simulated speed: on a "
-               "1-core (or loaded) container the absolute numbers are "
-               "scheduler-noisy and only the tracked-vs-untracked contrast "
-               "on the same host is meaningful. avoided_frac is "
-               "probes_avoided/(probes+probes_avoided) from the tracked "
-               "run's SnoopStats; identical=true means the full serialized "
-               "RunSummary (wall_seconds zeroed) matched the "
-               "sharer_tracking=false full-scan run byte for byte.\",\n");
+               "  \"notes\": \"host time, not simulated speed, one run at "
+               "a time: seconds is the median of repeats runs of a point "
+               "(machine build, workload setup and simulation) and "
+               "seconds_iqr their interquartile range; events_per_sec is "
+               "events / seconds. avoided_frac is "
+               "probes_avoided/(probes+probes_avoided) from SnoopStats.\",\n");
   std::fprintf(f, "  \"points\": [\n");
   for (std::size_t i = 0; i < points.size(); ++i) {
     const NodePoint& p = points[i];
@@ -209,17 +179,13 @@ int main(int argc, char** argv) {
     std::fprintf(
         f,
         "    {\"system\": \"%s\", \"nodes\": %d, \"events\": %llu, "
-        "\"tracked_seconds\": %.3f, \"untracked_seconds\": %.3f, "
+        "\"seconds\": %.3f, \"seconds_iqr\": %.3f, "
         "\"events_per_sec\": %.0f, \"deliveries\": %llu, "
         "\"snoop_probes\": %llu, \"snoop_probes_avoided\": %llu, "
-        "\"avoided_frac\": %.4f, \"sharer_map_peak_blocks\": %llu, "
-        "\"identical\": %s}%s\n",
+        "\"avoided_frac\": %.4f, \"sharer_map_peak_blocks\": %llu}%s\n",
         to_string(p.system), p.nodes,
-        static_cast<unsigned long long>(p.events), p.tracked_seconds,
-        p.untracked_seconds,
-        p.tracked_seconds > 0
-            ? static_cast<double>(p.events) / p.tracked_seconds
-            : 0.0,
+        static_cast<unsigned long long>(p.events), p.seconds, p.seconds_iqr,
+        p.seconds > 0 ? static_cast<double>(p.events) / p.seconds : 0.0,
         static_cast<unsigned long long>(p.snoop.deliveries),
         static_cast<unsigned long long>(p.snoop.probes),
         static_cast<unsigned long long>(p.snoop.probes_avoided),
@@ -227,16 +193,11 @@ int main(int argc, char** argv) {
                         static_cast<double>(total)
                   : 0.0,
         static_cast<unsigned long long>(p.snoop.peak_blocks),
-        p.identical ? "true" : "false",
         i + 1 < points.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", path);
-  if (!all_identical) {
-    std::fprintf(stderr, "FATAL: tracked run diverged from the full scan\n");
-    return 1;
-  }
   if (!all_avoiding) {
     std::fprintf(stderr, "FATAL: a point avoided zero probes\n");
     return 1;

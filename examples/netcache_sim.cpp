@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -72,8 +73,10 @@ void usage() {
   for (const auto& n : apps::workload_names()) std::printf(" %s", n.c_str());
   std::printf(
       "\n"
-      "  --synthetic=PAT    uniform | hot | prodcons | stream\n"
-      "  --trace=FILE       replay a memory-reference trace instead\n"
+      "  --synthetic=PAT    uniform | hot | prodcons | stream, instead of\n"
+      "                     --app (one cell per system, synthetic:PAT)\n"
+      "  --trace=FILE       replay a memory-reference trace instead of --app\n"
+      "                     (one cell per system, trace:<file name>)\n"
       "  --system=S         comma list or 'all'; netcache | netcache-noring"
       " | lambdanet | dmon-u | dmon-i\n"
       "  --nodes=N          machine width, 1..256 (default 16)\n"
@@ -285,6 +288,18 @@ std::unique_ptr<apps::Workload> build_workload(const Options& opt,
   return apps::make_workload(app, params);
 }
 
+// The workloads a run names, one per sweep row: the --app list, or for
+// --trace / --synthetic (which replace --app) one label naming the trace
+// file or the pattern, so a failure line and a forensics file name what ran.
+std::vector<std::string> workload_labels(const Options& opt) {
+  if (!opt.trace_path.empty()) {
+    return {"trace:" +
+            std::filesystem::path(opt.trace_path).filename().string()};
+  }
+  if (!opt.synthetic.empty()) return {"synthetic:" + opt.synthetic};
+  return opt.app == "all" ? apps::workload_names() : split_list(opt.app);
+}
+
 // The original single-machine path: build, run, print (optionally the full
 // per-node report, which needs the live machine's stats).
 int run_report(const Options& opt, const std::string& app, SystemKind kind) {
@@ -302,7 +317,8 @@ int run_report(const Options& opt, const std::string& app, SystemKind kind) {
 }
 
 // Every (app, system) pair becomes one sweep cell — including the
-// single-cell case, so --isolate and the result cache apply uniformly.
+// single-cell case, so --isolate and the result cache apply uniformly. A
+// trace or synthetic run has one "app", its label (workload_labels).
 // Results print in submission order, so the output is independent of --jobs.
 int run_sweep(const Options& opt, const std::vector<std::string>& app_names,
               const std::vector<SystemKind>& kinds) {
@@ -386,8 +402,7 @@ int main(int argc, char** argv) try {
                       "failure");
   }
 
-  std::vector<std::string> app_names =
-      opt.app == "all" ? apps::workload_names() : split_list(opt.app);
+  std::vector<std::string> app_names = workload_labels(opt);
   std::vector<SystemKind> kinds = system_list(opt.system);
   if (app_names.empty() || kinds.empty()) {
     throw ConfigError("app/system", opt.app + "/" + opt.system,

@@ -143,7 +143,13 @@ std::unique_ptr<TraceWorkload> TraceWorkload::from_file(
   if (!f) throw ConfigError("trace", path, "cannot open trace file");
   std::stringstream buf;
   buf << f.rdbuf();
-  return from_string(buf.str());
+  // A parse error ends the run before any cell names the trace, so the
+  // error names the file itself.
+  try {
+    return from_string(buf.str());
+  } catch (const ConfigError& e) {
+    throw ConfigError(e.key() + " in " + path, e.value(), e.why());
+  }
 }
 
 void TraceWorkload::setup(core::Machine& machine) {

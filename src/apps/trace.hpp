@@ -34,7 +34,8 @@ class TraceWorkload final : public Workload {
   explicit TraceWorkload(std::vector<std::vector<TraceRecord>> streams);
 
   /// Parses the text format. Throws ConfigError naming the line number of a
-  /// malformed line, or the path of a file that cannot be opened.
+  /// malformed line (and from_file, the file), or the path of a file that
+  /// cannot be opened.
   static std::unique_ptr<TraceWorkload> from_string(const std::string& text);
   static std::unique_ptr<TraceWorkload> from_file(const std::string& path);
 

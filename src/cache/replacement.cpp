@@ -4,7 +4,7 @@
 
 namespace netcache::cache {
 
-int pick_victim(RingReplacement policy, const std::vector<LineUsage>& usage,
+int pick_victim(RingReplacement policy, std::span<const LineUsage> usage,
                 Rng& rng) {
   NC_ASSERT(!usage.empty(), "no candidates for replacement");
   const int n = static_cast<int>(usage.size());

@@ -2,7 +2,7 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "src/common/config.hpp"
 #include "src/common/rng.hpp"
@@ -17,10 +17,10 @@ struct LineUsage {
   Cycles inserted_at = 0;   // FIFO
 };
 
-/// Chooses a victim index among `candidates` valid lines under `policy`.
-/// `usage` must have one entry per candidate. Invalid (empty) lines should be
-/// preferred by the caller before consulting this function.
-int pick_victim(RingReplacement policy, const std::vector<LineUsage>& usage,
+/// Chooses a victim index into `usage` (one entry per valid candidate line)
+/// under `policy`. Invalid (empty) lines should be preferred by the caller
+/// before consulting this function. Random replacement draws one number.
+int pick_victim(RingReplacement policy, std::span<const LineUsage> usage,
                 Rng& rng);
 
 }  // namespace netcache::cache

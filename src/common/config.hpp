@@ -126,15 +126,6 @@ struct MachineConfig {
 
   std::uint64_t seed = 0x9E3779B97F4A7C15ull;
 
-  /// Sharer-tracking directory (src/core/sharer_map.hpp, DESIGN.md section
-  /// 16): mirrors L2 residency so snoop delivery costs O(sharers) instead
-  /// of probing every node. Results are bit-identical either way (enforced
-  /// by tests), so this is an execution knob, not a machine parameter — the
-  /// result cache deliberately excludes it from its key. False runs the full
-  /// O(nodes) scan: the reference the tests and bench_node_scaling compare
-  /// the tracked path against.
-  bool sharer_tracking = true;
-
   /// Runtime coherence oracle (src/verify/): shadow-memory model checking
   /// every cached hit against the per-block commit history plus the protocol
   /// invariants at transition points. Also enabled by NETCACHE_VERIFY=1 in

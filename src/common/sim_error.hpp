@@ -24,14 +24,17 @@ class ConfigError : public SimError {
   ConfigError(std::string key, std::string value, const std::string& why)
       : SimError("config error: " + key + " = " + value + " — " + why),
         key_(std::move(key)),
-        value_(std::move(value)) {}
+        value_(std::move(value)),
+        why_(why) {}
 
   const std::string& key() const { return key_; }
   const std::string& value() const { return value_; }
+  const std::string& why() const { return why_; }
 
  private:
   std::string key_;
   std::string value_;
+  std::string why_;
 };
 
 }  // namespace netcache

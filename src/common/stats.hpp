@@ -71,12 +71,10 @@ struct OracleStats {
 };
 
 /// Host-cost counters for snoop delivery (sharer tracking, DESIGN.md
-/// section 16). Per delivery, probes + probes_avoided == nodes - 1 on
-/// either path: the full scan probes every other node's L2, the sharer-map
-/// fast path probes only the recorded sharers and books the rest as
-/// avoided. These describe host work, not simulated behaviour, so they are
-/// excluded from summary serialization: they differ between the tracked
-/// and untracked paths while results stay byte-identical.
+/// section 16). Per delivery, probes + probes_avoided == nodes - 1:
+/// delivery probes only the sharers the map records and books the other
+/// peers as avoided. These describe host work, not simulated behaviour, so
+/// they are excluded from summary serialization.
 struct SnoopStats {
   std::uint64_t deliveries = 0;      // update/invalidate broadcast commits
   std::uint64_t probes = 0;          // per-node L2 snoops actually performed

@@ -5,7 +5,6 @@
 #include "src/apps/workload.hpp"
 #include "src/common/nc_assert.hpp"
 #include "src/common/sim_error.hpp"
-#include "src/core/sharer_map.hpp"
 #include "src/faults/faults.hpp"
 #include "src/verify/oracle.hpp"
 #include "src/net/dmon/dmon_update_net.hpp"
@@ -49,11 +48,16 @@ Machine::Machine(const MachineConfig& config)
       lat_(derive_latencies(config_)),
       as_(config_.nodes, config_.l2.block_bytes),
       stats_(config_.nodes),
-      rng_(config_.seed) {
+      rng_(config_.seed),
+      sharer_map_(config_.nodes, config_.l2.block_bytes) {
   nodes_.reserve(static_cast<std::size_t>(config_.nodes));
+  sharer_hooks_.reserve(static_cast<std::size_t>(config_.nodes));
   for (NodeId n = 0; n < config_.nodes; ++n) {
     nodes_.push_back(
         std::make_unique<Node>(engine_, config_, n, stats_.node(n)));
+    sharer_hooks_.push_back(SharerHook{&sharer_map_, &as_, n});
+    node(n).l2().set_residency_hook(&Machine::on_l2_residency,
+                                    &sharer_hooks_.back());
   }
   if (config_.verify) {
     oracle_ = std::make_unique<verify::CoherenceOracle>(config_, as_, engine_);
@@ -110,17 +114,6 @@ RunSummary Machine::run(apps::Workload& workload,
                       "RunLimits::fail_on_blocked to diagnose parked "
                       "transactions");
   }
-  if (config_.sharer_tracking) {
-    // Built here, before any L2 can change.
-    sharer_map_ =
-        std::make_unique<SharerMap>(config_.nodes, config_.l2.block_bytes);
-    sharer_hooks_.reserve(static_cast<std::size_t>(config_.nodes));
-    for (NodeId n = 0; n < config_.nodes; ++n) {
-      sharer_hooks_.push_back(SharerHook{sharer_map_.get(), &as_, n});
-      node(n).l2().set_residency_hook(&Machine::on_l2_residency,
-                                      &sharer_hooks_.back());
-    }
-  }
   workload.setup(*this);
   // Setup allocated the whole shared footprint and touched no cache.
   if (oracle_ != nullptr) oracle_->size_table(as_.shared_bytes_allocated());
@@ -158,7 +151,7 @@ RunSummary Machine::run(apps::Workload& workload,
   s.wheel_pushes = engine_.queue_stats().wheel_pushes;
   s.overflow_pushes = engine_.queue_stats().overflow_pushes;
   s.wall_seconds = wall_seconds;
-  if (sharer_map_ != nullptr) snoop_.peak_blocks = sharer_map_->peak_blocks();
+  snoop_.peak_blocks = sharer_map_.peak_blocks();
   s.snoop = snoop_;
   s.verify_enabled = config_.verify;
   if (oracle_ != nullptr) s.oracle = oracle_->stats();

@@ -13,6 +13,7 @@
 #include "src/core/interconnect.hpp"
 #include "src/core/node.hpp"
 #include "src/core/run_summary.hpp"
+#include "src/core/sharer_map.hpp"
 #include "src/core/sync.hpp"
 #include "src/sim/engine.hpp"
 
@@ -27,8 +28,6 @@ class FaultPlan;
 }
 
 namespace netcache::core {
-
-class SharerMap;
 
 class Machine {
  public:
@@ -55,13 +54,11 @@ class Machine {
   /// Fault-injection plan, or null when config.faults.spec is empty.
   faults::FaultPlan* faults() { return faults_.get(); }
 
-  /// Sharer-tracking directory (DESIGN.md section 16), or null when
-  /// tracking is off (config.sharer_tracking = false) or run() has not
-  /// wired it yet. Delivery paths fall back to the full O(nodes) snoop scan
-  /// whenever this is null.
-  SharerMap* sharer_map() { return sharer_map_.get(); }
-  /// Snoop-delivery host-cost counters, maintained by the delivery helpers
-  /// on both the tracked and full-scan paths.
+  /// Sharer-tracking directory (DESIGN.md section 16): which nodes' L2s
+  /// hold each shared block, kept exact from construction on. Snoop
+  /// delivery visits only the sharers it lists.
+  SharerMap& sharer_map() { return sharer_map_; }
+  /// Snoop-delivery host-cost counters, maintained by net::deliver_snoop.
   SnoopStats& snoop_stats() { return snoop_; }
 
   /// Synchronization primitives live as long as the machine.
@@ -99,8 +96,8 @@ class Machine {
   std::unique_ptr<verify::CoherenceOracle> oracle_;
   std::unique_ptr<faults::FaultPlan> faults_;
   std::unique_ptr<Interconnect> interconnect_;
-  // Wired in run(), before workload setup.
-  std::unique_ptr<SharerMap> sharer_map_;
+  // Hooked to every node's L2 in the constructor, before any line is cached.
+  SharerMap sharer_map_;
   std::vector<SharerHook> sharer_hooks_;
   SnoopStats snoop_;
   std::vector<std::unique_ptr<Lock>> locks_;

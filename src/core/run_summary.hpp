@@ -51,10 +51,8 @@ struct RunSummary {
   std::uint64_t wheel_regrows = 0;
 
   // Snoop-delivery host-cost counters (sharer tracking, DESIGN.md section
-  // 16). Excluded from serialization and format_summary: they differ
-  // between the tracked and full-scan paths, while sharer tracking is not
-  // part of the result-cache key — a cache record must deserialize
-  // byte-identically with tracking on or off.
+  // 16). Excluded from serialization and format_summary: they measure host
+  // work, not the simulated machine.
   SnoopStats snoop;
 
   // Engine throughput (wall-clock observability; not part of the simulated
@@ -78,8 +76,7 @@ std::string format_throughput(const RunSummary& s);
 
 /// One-line snoop-delivery summary ("snoop: ..."), or "" when the run had
 /// no deliveries. Kept separate from format_summary because the counters
-/// differ between the sharer-tracked and full-scan paths (which must stay
-/// byte-identical in every comparable output).
+/// describe host work, not simulated results.
 std::string format_snoop(const RunSummary& s);
 
 /// Serializes every field of `s` except the SnoopStats block (including the

@@ -2,9 +2,9 @@
 // section 16): an exact mirror of which nodes' L2s hold each shared block,
 // so snoop delivery costs O(sharers) instead of probing every node's L2 on
 // every coherence commit. This is host-side bookkeeping, not a protocol
-// structure — simulated timing and all results are bit-identical with
-// tracking off (MachineConfig::sharer_tracking = false runs the full scan,
-// the reference that tests and bench_node_scaling compare against).
+// structure: it carries no latency and occupies no simulated resource, and
+// a node it skips holds no copy, so its snoop would have been a no-op.
+// Verified runs prove that at every delivery (verify::audit_sharer_map).
 //
 // The directory is a dense table, not a hash: ceil(nodes / 64) bitmap words
 // per shared L2 block, indexed by block number. Shared addresses are dense
@@ -39,11 +39,10 @@ class SharerMap {
   /// NETCACHE_VERIFY exactness audit).
   bool contains(Addr block_base, NodeId node) const;
 
-  /// Returns the block's sharers in ascending node order — the exact
-  /// per-node call sequence of a full 0..N-1 snoop scan, restricted to the
-  /// nodes whose L2 holds the block. The returned vector is internal
-  /// scratch, valid until the next call; it is a snapshot, so delivery code
-  /// may invalidate lines (mutating the map) while iterating it.
+  /// Returns the block's sharers, the nodes whose L2 holds it, in
+  /// ascending node order. The returned vector is internal scratch, valid
+  /// until the next call; it is a snapshot, so delivery code may invalidate
+  /// lines (mutating the map) while iterating it.
   const std::vector<NodeId>& snapshot(Addr block_base);
 
   /// Peak number of blocks with at least one sharer. Host-side

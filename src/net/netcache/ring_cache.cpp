@@ -1,6 +1,7 @@
 #include "src/net/netcache/ring_cache.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "src/common/nc_assert.hpp"
 
@@ -18,7 +19,8 @@ RingCache::RingCache(const RingConfig& config, Cycles roundtrip_cycles,
                                            config.blocks_per_channel)),
       rng_(&rng),
       slots_(static_cast<std::size_t>(config.channels) *
-             static_cast<std::size_t>(config.blocks_per_channel)) {
+             static_cast<std::size_t>(config.blocks_per_channel)),
+      usage_(slots_.size()) {
   NC_ASSERT(config.channels > 0 && config.blocks_per_channel > 0,
             "empty ring cache");
   NC_ASSERT(roundtrip_cycles > 0, "ring needs positive roundtrip");
@@ -82,12 +84,12 @@ std::optional<Addr> RingCache::insert(Addr block_addr, Cycles now) {
       }
     }
     if (victim < 0) {
-      std::vector<cache::LineUsage> usage(
-          static_cast<std::size_t>(config_.blocks_per_channel));
-      for (int i = 0; i < config_.blocks_per_channel; ++i) {
-        usage[static_cast<std::size_t>(i)] = slot_at(channel, i).usage;
-      }
-      victim = cache::pick_victim(config_.replacement, usage, *rng_);
+      victim = cache::pick_victim(
+          config_.replacement,
+          std::span<const cache::LineUsage>(
+              &usage_[at(channel, 0)],
+              static_cast<std::size_t>(config_.blocks_per_channel)),
+          *rng_);
     }
   }
   Slot& s = slot_at(channel, victim);
@@ -102,7 +104,7 @@ std::optional<Addr> RingCache::insert(Addr block_addr, Cycles now) {
   // The new block is readable once the home has written it into the slot as
   // the slot passes the home's position; approximate as available from now.
   s.valid_from = now;
-  s.usage = cache::LineUsage{now, 1, now};
+  usage_[at(channel, victim)] = cache::LineUsage{now, 1, now};
   index_[base] = victim;
   return evicted;
 }
@@ -122,9 +124,9 @@ void RingCache::touch(Addr block_addr, Cycles now) {
   Addr base = block_base(block_addr, block_bytes_);
   auto it = index_.find(base);
   if (it == index_.end()) return;
-  Slot& s = slot_at(channel_of(base), it->second);
-  s.usage.last_use = now;
-  ++s.usage.uses;
+  cache::LineUsage& u = usage_[at(channel_of(base), it->second)];
+  u.last_use = now;
+  ++u.uses;
 }
 
 Cycles RingCache::miss_detection_time(Addr block_addr, NodeId reader,

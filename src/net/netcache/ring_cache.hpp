@@ -69,16 +69,17 @@ class RingCache {
     Addr block = 0;
     bool valid = false;
     Cycles valid_from = 0;
-    cache::LineUsage usage;
   };
 
-  Slot& slot_at(int channel, int index) {
-    return slots_[static_cast<std::size_t>(channel) *
-                      static_cast<std::size_t>(config_.blocks_per_channel) +
-                  static_cast<std::size_t>(index)];
+  /// Position of slot `index` of `channel` in `slots_` and `usage_`.
+  std::size_t at(int channel, int index) const {
+    return static_cast<std::size_t>(channel) *
+               static_cast<std::size_t>(config_.blocks_per_channel) +
+           static_cast<std::size_t>(index);
   }
+  Slot& slot_at(int channel, int index) { return slots_[at(channel, index)]; }
   const Slot& slot_at(int channel, int index) const {
-    return const_cast<RingCache*>(this)->slot_at(channel, index);
+    return slots_[at(channel, index)];
   }
 
   /// First time >= `from` at which slot `index`'s tail passes `reader`.
@@ -92,6 +93,9 @@ class RingCache {
   Cycles slot_period_;
   Rng* rng_;
   std::vector<Slot> slots_;
+  /// Replacement metadata, one entry per slot in `slots_`' order, so a
+  /// channel's entries are one contiguous span for cache::pick_victim.
+  std::vector<cache::LineUsage> usage_;
   std::unordered_map<Addr, int> index_;  // block addr -> slot index in channel
   std::uint64_t insertions_ = 0;
   std::uint64_t replacements_ = 0;

@@ -1,7 +1,6 @@
 #include "src/net/update_common.hpp"
 
 #include "src/core/machine.hpp"
-#include "src/core/sharer_map.hpp"
 #include "src/faults/faults.hpp"
 #include "src/verify/oracle.hpp"
 #include "src/verify/sharer_audit.hpp"
@@ -12,69 +11,44 @@ NodeId deliver_snoop(core::Machine& machine, NodeId src, Addr block_base,
                      faults::FaultKind drop, void (core::Node::*apply)(Addr)) {
   verify::CoherenceOracle* oracle = machine.oracle();
   faults::FaultPlan* faults = machine.faults();
-  core::SharerMap* sharers = machine.sharer_map();
   SnoopStats& snoop = machine.snoop_stats();
-  const std::uint64_t others =
-      static_cast<std::uint64_t>(machine.nodes() - 1);
   ++snoop.deliveries;
 
-  // O(sharers) fast path (DESIGN.md section 16): the map is an exact mirror
-  // of L2 residency, so a skipped node's snoop would have been a contains()
-  // miss and a no-op. The snapshot is in ascending node order — the same
-  // call sequence as the full scan — and it is required, not just faster:
-  // apply_invalidate drops L2 lines, mutating the map mid-walk. A verified
-  // run proves every skip at the delivery that takes it.
-  const std::vector<NodeId>* set = nullptr;
-  if (sharers != nullptr) {
-    if (oracle != nullptr) {
-      verify::audit_sharer_map(machine, *sharers, block_base);
-    }
-    set = &sharers->snapshot(block_base);
-  }
+  // O(sharers) delivery (DESIGN.md section 16): the map is an exact mirror
+  // of L2 residency, so a node it does not list holds no copy and its snoop
+  // would be a no-op. The snapshot is in ascending node order, and it is a
+  // copy: apply_invalidate drops L2 lines, mutating the map mid-walk. A
+  // verified run proves every skip at the delivery that takes it.
+  if (oracle != nullptr) verify::audit_sharer_map(machine, block_base);
+  const std::vector<NodeId>& sharers =
+      machine.sharer_map().snapshot(block_base);
 
   // The fault needs a victim actually caching the block; otherwise it stays
-  // armed for the next broadcast. By exactness the snapshot's first entry
-  // besides `src` is the node the full scan picks.
+  // armed for the next broadcast.
   NodeId victim = kNoNode;
   if (faults != nullptr && faults->armed(drop, machine.engine().now())) {
-    if (set != nullptr) {
-      for (NodeId n : *set) {
-        if (n != src) {
-          victim = n;
-          break;
-        }
-      }
-    } else {
-      for (NodeId n = 0; n < machine.nodes(); ++n) {
-        if (n != src && machine.node(n).l2().contains(block_base)) {
-          victim = n;
-          break;
-        }
+    for (NodeId n : sharers) {
+      if (n != src) {
+        victim = n;
+        break;
       }
     }
     if (victim != kNoNode) faults->consume(drop);
   }
 
-  if (set != nullptr) {
-    std::uint64_t probed = 0;
-    for (NodeId n : *set) {
-      if (n == src) continue;
-      ++probed;
-      if (n == victim) continue;
-      (machine.node(n).*apply)(block_base);
-    }
-    snoop.probes += probed;
-    snoop.probes_avoided += others - probed;
-    // The full scan hooks every node but the writer and the victim; the
-    // skipped ones hold no copy, so their hook would only have counted.
-    if (oracle != nullptr) oracle->on_non_sharers_skipped(others - probed);
-  } else {
-    for (NodeId n = 0; n < machine.nodes(); ++n) {
-      if (n == src || n == victim) continue;
-      (machine.node(n).*apply)(block_base);
-    }
-    snoop.probes += others;
+  std::uint64_t probed = 0;
+  for (NodeId n : sharers) {
+    if (n == src) continue;
+    ++probed;
+    if (n == victim) continue;
+    (machine.node(n).*apply)(block_base);
   }
+  const std::uint64_t skipped =
+      static_cast<std::uint64_t>(machine.nodes() - 1) - probed;
+  snoop.probes += probed;
+  snoop.probes_avoided += skipped;
+  // A skipped node's delivery hook would only have counted.
+  if (oracle != nullptr) oracle->on_non_sharers_skipped(skipped);
   return victim;
 }
 

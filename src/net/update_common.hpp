@@ -22,10 +22,10 @@ namespace netcache::net {
 
 /// Snoop delivery of a broadcast from `src`, at the current virtual instant:
 /// calls `apply` (Node::apply_remote_update or Node::apply_invalidate) on
-/// every other node that may hold `block_base` and keeps SnoopStats. When a
-/// `drop` fault is armed, the first other node caching the block misses the
-/// snoop; that victim is returned (kNoNode if none) for the caller's
-/// recovery.
+/// every other node whose L2 holds `block_base`, in ascending node order,
+/// and keeps SnoopStats. When a `drop` fault is armed, the first other node
+/// caching the block misses the snoop; that victim is returned (kNoNode if
+/// none) for the caller's recovery.
 NodeId deliver_snoop(core::Machine& machine, NodeId src, Addr block_base,
                      faults::FaultKind drop, void (core::Node::*apply)(Addr));
 

@@ -175,10 +175,6 @@ std::string ResultCache::key_description(const Cell& cell,
   append_u64(&d, "cfg.sequential_prefetch", cfg.sequential_prefetch ? 1 : 0);
   append_u64(&d, "cfg.seed", cfg.seed);
   append_u64(&d, "cfg.verify", cfg.verify ? 1 : 0);
-  // cfg.sharer_tracking is deliberately NOT keyed: the sharer map is
-  // host-side bookkeeping (DESIGN.md section 16, enforced by
-  // test_sharer_map), so tracked and untracked runs share one record.
-  // test_result_cache pins this exclusion.
   append_kv(&d, "cfg.faults.spec", cfg.faults.spec);
   append_u64(&d, "cfg.faults.seed", cfg.faults.seed);
   append_u64(&d, "cfg.faults.recovery", cfg.faults.recovery ? 1 : 0);

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <deque>
-#include <mutex>
 #include <thread>
 
 #include "src/apps/workload.hpp"
@@ -66,86 +64,25 @@ int default_jobs() {
   return hw >= 1 ? static_cast<int>(hw) : 1;
 }
 
-namespace {
-
-/// Per-worker task queue. Owners pop from the front; thieves steal from the
-/// back, so a victim and its thief contend only on the mutex, never on the
-/// same end of a lock-free deque — simple, and the per-cell work (an entire
-/// simulation) dwarfs the locking cost by many orders of magnitude.
-struct WorkerQueue {
-  std::mutex mutex;
-  std::deque<std::size_t> tasks;
-
-  bool pop_front(std::size_t* out) {
-    std::lock_guard<std::mutex> lock(mutex);
-    if (tasks.empty()) return false;
-    *out = tasks.front();
-    tasks.pop_front();
-    return true;
-  }
-
-  bool steal_back(std::size_t* out) {
-    std::lock_guard<std::mutex> lock(mutex);
-    if (tasks.empty()) return false;
-    *out = tasks.back();
-    tasks.pop_back();
-    return true;
-  }
-};
-
-}  // namespace
-
 void run_tasks(int jobs, std::vector<std::function<void()>>& tasks) {
-  if (tasks.empty()) return;
   if (jobs <= 0) jobs = default_jobs();
-  if (jobs == 1) {
-    for (auto& task : tasks) {
-      if (stop_requested()) return;
-      task();
-    }
-    return;
-  }
-  const int workers =
-      static_cast<int>(std::min<std::size_t>(tasks.size(),
-                                             static_cast<std::size_t>(jobs)));
-  std::vector<WorkerQueue> queues(static_cast<std::size_t>(workers));
-  // Seed round-robin: contiguous runs of one figure's cells (often similar
-  // cost) spread across the pool instead of landing on one worker.
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    queues[i % static_cast<std::size_t>(workers)].tasks.push_back(i);
-  }
-  auto worker_loop = [&](int me) {
-    std::size_t idx;
-    for (;;) {
-      // Graceful stop: drop the remaining queue on the floor. Whoever
-      // installed the handlers (reproduce, netcache_sim) marks un-run cells
-      // and prints the partial-grid summary.
-      if (stop_requested()) return;
-      if (queues[static_cast<std::size_t>(me)].pop_front(&idx)) {
-        tasks[idx]();
-        continue;
-      }
-      // Own queue empty: steal. One full scan finding nothing means every
-      // queue is drained (tasks are never re-queued), so the worker retires;
-      // in-flight tasks on other workers need no help from this one.
-      bool stole = false;
-      for (int step = 1; step < workers; ++step) {
-        int victim = (me + step) % workers;
-        if (queues[static_cast<std::size_t>(victim)].steal_back(&idx)) {
-          stole = true;
-          break;
-        }
-      }
-      if (!stole) return;
-      tasks[idx]();
+  const std::size_t workers =
+      std::min(tasks.size(), static_cast<std::size_t>(jobs));
+  // One shared cursor: each idle worker claims the next task in submission
+  // order. On a graceful stop, workers stop claiming; whoever installed the
+  // handlers (reproduce, netcache_sim) marks un-run cells and prints the
+  // partial-grid summary.
+  std::atomic<std::size_t> next{0};
+  auto worker_loop = [&tasks, &next] {
+    while (!stop_requested()) {
+      const std::size_t i = next.fetch_add(1);
+      if (i >= tasks.size()) return;
+      tasks[i]();
     }
   };
   std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers - 1));
-  for (int w = 1; w < workers; ++w) {
-    pool.emplace_back(worker_loop, w);
-  }
-  worker_loop(0);
+  for (std::size_t w = 1; w < workers; ++w) pool.emplace_back(worker_loop);
+  worker_loop();
   for (auto& t : pool) t.join();
 }
 

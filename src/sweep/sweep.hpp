@@ -6,9 +6,10 @@
 // DESIGN.md section 10), touches no cross-machine mutable state: the
 // FrameArena is thread_local and the FailureReporter registry is
 // mutex-guarded. The sweep is therefore embarrassingly parallel, and this
-// driver fans cells out across a pool of worker threads with dynamic work
-// stealing (cell runtimes vary by more than 10x between fft- and gauss-class
-// workloads, so static striping would idle most of the pool on the tail).
+// driver fans cells out across a pool of worker threads, each claiming the
+// next cell when it goes idle (cell runtimes vary by more than 10x between
+// fft- and gauss-class workloads, so static striping would idle most of the
+// pool on the tail).
 //
 // Determinism: every cell is simulated by a thread-confined engine whose
 // event order does not depend on wall-clock scheduling, and results are
@@ -98,10 +99,13 @@ CellResult run_cell(const Cell& cell, ResultCache* cache);
 /// std::thread::hardware_concurrency() (at least 1).
 int default_jobs();
 
-/// Runs `tasks` (independent closures) across `jobs` worker threads with
-/// dynamic work stealing; blocks until every task has run. jobs <= 1 runs
-/// them in submission order on the calling thread. Each task executes on
-/// exactly one thread, start to finish (engine thread-confinement holds).
+/// Runs `tasks` (independent closures) across `jobs` worker threads (the
+/// calling thread is one of them); blocks until every task has run. Tasks
+/// go out in submission order from one shared cursor, each to the next idle
+/// worker, so jobs == 1 runs them in order on the calling thread. Workers
+/// test stop_requested() before each claim and leave the rest unrun once it
+/// is set. Each task executes on exactly one thread, start to finish
+/// (engine thread-confinement holds).
 void run_tasks(int jobs, std::vector<std::function<void()>>& tasks);
 
 /// Executes a batch of independent cells on a worker pool and returns the

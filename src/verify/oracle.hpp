@@ -96,10 +96,11 @@ class CoherenceOracle final : public FailureContext {
   /// stamps the broadcast instant used by the single-writer epoch check.
   void on_invalidate_broadcast(Addr block_base);
   void on_invalidate_delivered(NodeId node, Addr block_base);
-  /// The O(sharers) delivery path skipped `count` nodes whose L2 holds no
-  /// copy (the sharer audit proves it at the same delivery). For such a
-  /// node the update/invalidate hook above only counts, so this credits
-  /// the count and the counters match the full scan's.
+  /// Delivery skipped `count` nodes whose L2 holds no copy (the sharer
+  /// audit proves it at the same delivery). For such a node the
+  /// update/invalidate hook above would only count, so this credits the
+  /// count: every delivery counts all nodes but the writer and any fault
+  /// victim.
   void on_non_sharers_skipped(std::uint64_t count);
   /// The block's per-node presence bits (one byte per node, nonzero where
   /// the oracle records a resident L2 copy); the sharer audit checks them

@@ -2,13 +2,12 @@
 
 #include "src/common/nc_assert.hpp"
 #include "src/core/machine.hpp"
-#include "src/core/sharer_map.hpp"
 #include "src/verify/oracle.hpp"
 
 namespace netcache::verify {
 
-void audit_sharer_map(core::Machine& machine, const core::SharerMap& map,
-                      Addr block_base) {
+void audit_sharer_map(core::Machine& machine, Addr block_base) {
+  const core::SharerMap& map = machine.sharer_map();
   const CoherenceOracle* oracle = machine.oracle();
   const std::uint8_t* present =
       oracle != nullptr ? oracle->presence(block_base) : nullptr;

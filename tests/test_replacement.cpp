@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 namespace netcache::cache {
 namespace {
 
-std::vector<LineUsage> usage4() {
+std::array<LineUsage, 4> usage4() {
   // last_use: 5, 2, 9, 4   uses: 3, 7, 1, 2   inserted: 8, 1, 6, 3
   return {LineUsage{5, 3, 8}, LineUsage{2, 7, 1}, LineUsage{9, 1, 6},
           LineUsage{4, 2, 3}};
@@ -51,7 +53,7 @@ TEST(Replacement, RandomCoversAllSlots) {
 
 TEST(Replacement, SingleCandidate) {
   Rng rng(1);
-  std::vector<LineUsage> u{LineUsage{1, 1, 1}};
+  const LineUsage u[] = {LineUsage{1, 1, 1}};
   for (auto p : {RingReplacement::kRandom, RingReplacement::kLru,
                  RingReplacement::kLfu, RingReplacement::kFifo}) {
     EXPECT_EQ(pick_victim(p, u, rng), 0);
@@ -60,10 +62,21 @@ TEST(Replacement, SingleCandidate) {
 
 TEST(Replacement, TiesBreakTowardLowerIndex) {
   Rng rng(1);
-  std::vector<LineUsage> u{LineUsage{3, 3, 3}, LineUsage{3, 3, 3}};
+  const LineUsage u[] = {LineUsage{3, 3, 3}, LineUsage{3, 3, 3}};
   EXPECT_EQ(pick_victim(RingReplacement::kLru, u, rng), 0);
   EXPECT_EQ(pick_victim(RingReplacement::kLfu, u, rng), 0);
   EXPECT_EQ(pick_victim(RingReplacement::kFifo, u, rng), 0);
+}
+
+// The ring cache passes one channel's slice of a longer usage array: the
+// victim index is relative to the slice.
+TEST(Replacement, PicksWithinASubspan) {
+  Rng rng(1);
+  const auto u = usage4();
+  const std::span<const LineUsage> last_two(u.data() + 2, 2);
+  EXPECT_EQ(pick_victim(RingReplacement::kLru, last_two, rng), 1);
+  EXPECT_EQ(pick_victim(RingReplacement::kLfu, last_two, rng), 0);
+  EXPECT_EQ(pick_victim(RingReplacement::kFifo, last_two, rng), 1);
 }
 
 }  // namespace

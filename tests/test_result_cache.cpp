@@ -169,37 +169,6 @@ TEST_F(ResultCacheTest, EverySingleFieldChangeChangesTheKey) {
   if (forced != nullptr) setenv("NETCACHE_VERIFY", saved.c_str(), 1);
 }
 
-// The one deliberate exclusion: sharer_tracking is an execution knob with a
-// bit-identity guarantee (test_sharer_map enforces it), so it must NOT be
-// part of the key — a cell warmed with tracking on hits with tracking off
-// and returns the stored bytes unchanged.
-TEST_F(ResultCacheTest, SharerTrackingIsExcludedFromTheKey) {
-  sweep::ResultCache cache(dir());
-
-  const sweep::Cell tracked = fast_cell();
-  sweep::Cell untracked = fast_cell();
-  untracked.tweak = [](MachineConfig& cfg) { cfg.sharer_tracking = false; };
-
-  const std::string key = cache.key_for(tracked);
-  ASSERT_EQ(key.size(), 32u);
-  EXPECT_EQ(cache.key_for(untracked), key);
-
-  // Warm the cache with the tracked run, then hit with the untracked cell:
-  // byte-identical summary, no second simulation.
-  sweep::CellResult cold = sweep::run_cell(tracked, &cache);
-  ASSERT_TRUE(cold.ok) << cold.error;
-  ASSERT_TRUE(cold.summary.verified);
-  ASSERT_FALSE(cold.from_cache);
-  ASSERT_EQ(cache.stats().stores, 1u);
-
-  sweep::CellResult warm = sweep::run_cell(untracked, &cache);
-  ASSERT_TRUE(warm.ok) << warm.error;
-  EXPECT_TRUE(warm.from_cache);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(core::serialize_summary(warm.summary),
-            core::serialize_summary(cold.summary));
-}
-
 // The key reads NETCACHE_VERIFY the way Machine does: any value but "" or
 // "0" keys a plain cell exactly like a verified one.
 TEST_F(ResultCacheTest, VerifyEnvironmentKeysLikeTheVerifyField) {

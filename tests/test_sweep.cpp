@@ -1,14 +1,13 @@
 // Sweep driver: parallel execution must reproduce the sequential results
 // bit for bit, contain per-cell failures, and drain arbitrary grids through
-// the work-stealing pool. Run under -fsanitize=thread in CI: these tests are
-// the proof that concurrent cells share no mutable state (the
+// the worker pool's shared cursor. Run under -fsanitize=thread in CI: these
+// tests are the proof that concurrent cells share no mutable state (the
 // thread-confinement contract, DESIGN.md section 10).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_common.hpp"
@@ -124,7 +123,7 @@ TEST(Sweep, DeadlockedCellFailsAloneWithReport) {
   EXPECT_EQ(driver.cell(stuck).label(), "deadlock/NetCache");
 }
 
-TEST(Sweep, WorkStealingDrainsMoreCellsThanWorkers) {
+TEST(Sweep, SharedCursorDrainsMoreCellsThanWorkers) {
   std::vector<sweep::Cell> cells;
   for (int i = 0; i < 12; ++i) {
     sweep::Cell cell;
@@ -269,31 +268,6 @@ TEST(Sweep, TableFoldingKeysResultsBySubmissionIndexAcrossFailures) {
   const std::string csv = table.to_csv();
   EXPECT_EQ(static_cast<int>(std::count(csv.begin(), csv.end(), '\n')), 4);
   EXPECT_EQ(csv.find("deadlock"), std::string::npos);
-}
-
-// Sweep workers fold results into shared tables directly; set() must be safe
-// under real concurrency. Run under TSan in CI, this is a data-race trap.
-TEST(Sweep, TableSetIsThreadSafe) {
-  bench::Table table("concurrent", {"c0", "c1", "c2", "c3"});
-  constexpr int kThreads = 8;
-  constexpr int kOps = 500;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&table, t] {
-      for (int i = 0; i < kOps; ++i) {
-        table.set("row" + std::to_string(i % 25),
-                  "c" + std::to_string((t + i) % 4),
-                  static_cast<double>(t * kOps + i));
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  const std::string csv = table.to_csv();
-  // All 25 rows present, each with all four columns populated.
-  for (int r = 0; r < 25; ++r) {
-    EXPECT_NE(csv.find("row" + std::to_string(r) + ","), std::string::npos);
-  }
-  EXPECT_EQ(static_cast<int>(std::count(csv.begin(), csv.end(), '\n')), 26);
 }
 
 }  // namespace

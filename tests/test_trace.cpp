@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+
 #include "src/common/sim_error.hpp"
 #include "src/core/machine.hpp"
 
@@ -139,6 +142,22 @@ TEST(Trace, UnopenablePathIsAConfigError) {
   } catch (const ConfigError& e) {
     EXPECT_EQ(e.value(), "/nonexistent/trace.txt");
   }
+}
+
+TEST(Trace, MalformedFileErrorsNameTheFile) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "netcache-malformed.trace")
+          .string();
+  std::ofstream(path) << "0 r 64\n0 x 1\n";
+  try {
+    (void)TraceWorkload::from_file(path);
+    ADD_FAILURE() << "parsed a malformed trace";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(e.key(), "trace line 2 in " + path);
+    EXPECT_EQ(e.value(), "0 x 1");
+    EXPECT_EQ(e.why(), "unknown op (expected r, w, c or b)");
+  }
+  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -77,6 +77,25 @@ TEST(Oracle, ProtocolSpecificCountersFire) {
   EXPECT_EQ(inv.oracle.updates_delivered, 0u);
 }
 
+// The open I-SPEED ownership race (ROADMAP open item 1), kept visible: a
+// plain 16-node DMON-I gauss run with dropped invalidations. Alone it
+// completes and passes its functional check. Under NETCACHE_VERIFY=1 the
+// oracle runs too, and it aborts with a single-writer epoch violation
+// (t=88912) until I-SPEED serializes ownership per block. It must run
+// before VerificationDoesNotPerturbTiming, which unsets the variable.
+TEST(Oracle, DmonInvalidateGauss16NodesDropInvalidate) {
+  MachineConfig cfg = config_for(SystemKind::kDmonInvalidate);
+  cfg.nodes = 16;
+  cfg.faults.spec = "drop-invalidate:2";
+  Machine machine(cfg);
+  apps::WorkloadParams params;
+  params.scale = 0.1;
+  auto workload = apps::make_workload("gauss", params);
+  RunSummary s = machine.run(*workload);
+  EXPECT_TRUE(s.verified);
+  EXPECT_GT(s.faults.injected, 0u);
+}
+
 TEST(Oracle, VerificationDoesNotPerturbTiming) {
   // The oracle is a pure observer: cycle-for-cycle and event-for-event the
   // run must be bit-identical with verification on and off. The CI verify
